@@ -3,6 +3,7 @@
 import io
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +263,17 @@ def test_verify_suite_smoke_runs():
     code, out = run_cli(["verify-suite", "--level", "smoke"])
     assert code == 0
     assert "10/10 checks passed" in out
+
+
+GOLDEN = Path(__file__).parent / "data" / "check_axioms"
+
+
+@pytest.mark.parametrize("op", ["std", "ceil", "floorsplit", "sign", "phase"])
+@pytest.mark.parametrize("dims", ["2", "3", "2,1"])
+def test_check_axioms_golden_bytes(op, dims):
+    # Reports, witness blocks included, must not drift between versions:
+    # a speedup that changes a witness byte is a regression.
+    code, out = run_cli(["check-axioms", "--op", op, "--algebra", dims,
+                         "--trials", "6", "--seed", "9"])
+    assert code == (0 if op == "std" else 3)
+    assert out == (GOLDEN / f"{op}_{dims.replace(',', '+')}.json").read_text()
