@@ -70,7 +70,7 @@ class FdAlgebra:
         return all(n == 1 for n in self.dims)
 
     def element(self, blocks: Iterable[np.ndarray | Sequence]) -> "Element":
-        return Element(self, tuple(np.asarray(b, dtype=complex) for b in blocks))
+        return Element(self, blocks)
 
     def zero(self) -> "Element":
         return self.element(np.zeros((n, n)) for n in self.dims)
@@ -109,9 +109,13 @@ def _basis(algebra: FdAlgebra) -> tuple["Element", ...]:
 
 
 class Element:
-    """A member of an :class:`FdAlgebra`: one dense complex matrix per block."""
+    """A member of an :class:`FdAlgebra`: one dense complex matrix per block.
 
-    __slots__ = ("algebra", "blocks")
+    ``_norm`` caches :func:`operator_norm`; an element never changes, so the
+    cache cannot go stale.
+    """
+
+    __slots__ = ("algebra", "blocks", "_norm")
 
     def __init__(self, algebra: FdAlgebra, blocks: Sequence[np.ndarray]):
         blocks = tuple(np.array(b, dtype=complex) for b in blocks)
@@ -123,6 +127,7 @@ class Element:
             b.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_norm", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Element is immutable")
@@ -208,10 +213,11 @@ def hs_inner(a: Element, b: Element) -> complex:
 
 
 def operator_norm(a: Element) -> float:
-    """Max over blocks of the largest singular value."""
-    if not a.blocks:
-        return 0.0
-    return max(float(np.linalg.norm(b, 2)) for b in a.blocks)
+    """Max over blocks of the largest singular value, computed once per element."""
+    if a._norm is None:
+        object.__setattr__(a, "_norm", max(
+            (float(np.linalg.norm(b, 2)) for b in a.blocks), default=0.0))
+    return a._norm
 
 
 def _eq_threshold(na: float, nb: float, tol: ToleranceConfig) -> float:

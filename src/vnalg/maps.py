@@ -127,17 +127,6 @@ def block_projection(algebra: FdAlgebra, j: int) -> LinMap:
                     [target.element([e.blocks[j]]) for e in algebra.basis()])
 
 
-def block_injection(algebra: FdAlgebra, j: int) -> LinMap:
-    """The (non-unital) embedding of the j-th block."""
-    source = FdAlgebra((algebra.dims[j],))
-    images = []
-    for e in source.basis():
-        blocks = [np.zeros((m, m), dtype=complex) for m in algebra.dims]
-        blocks[j] = e.blocks[0]
-        images.append(algebra.element(blocks))
-    return make_map(source, algebra, images)
-
-
 SCALARS = FdAlgebra((1,))
 
 

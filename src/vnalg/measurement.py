@@ -22,12 +22,13 @@ from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, adjoint,
                       orthosupplement)
 from .errors import (CarrierViolated, FilterBoundViolated, NotEffect,
                      NotPositive, ShapeMismatch)
-from .maps import (LinMap, apply, carrier, compose, conjugation_map,
-                   is_completely_positive, is_unital, make_map, maps_equal,
-                   mult_map)
+from .maps import (LinMap, apply, carrier, compose, conjugation_map, density,
+                   diamond_bwd, diamond_fwd, is_completely_positive, is_unital,
+                   make_map, maps_equal, mult_map, trace_functional)
 from .projections import ceiling, certify_projection, floor, projection_family
 from .division import pseudoinverse
-from .spectral import functional_calculus, sqrt
+from .sampling import random_effect, random_projection
+from .spectral import _exp_phase, functional_calculus, sqrt
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,6 @@ def chevron(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
 
 
 def _diamond_match(f: LinMap, seed: int, tol: ToleranceConfig) -> bool:
-    from .maps import diamond_bwd, diamond_fwd
     for e in projection_family(f.dom, seed=seed, tol=tol):
         if not equal(diamond_fwd(f, e, tol), diamond_bwd(f, e, tol), tol):
             return False
@@ -286,13 +286,6 @@ def _sign_above_half(lam: complex) -> complex:
     return 1.0 if lam.real >= 0.5 else -1.0
 
 
-def _phase_log(lam: complex) -> complex:
-    x = lam.real
-    if x <= 0.0:
-        return 1.0
-    return np.exp(1j * np.log(x))
-
-
 def counterexample_ops(algebra: FdAlgebra,
                        tol: ToleranceConfig = DEFAULT_TOL) -> list[BinOpSpec]:
     """The four operations that each violate exactly one axiom.
@@ -330,9 +323,9 @@ def counterexample_ops(algebra: FdAlgebra,
         BinOpSpec("sign", conjugated_product(_sign_above_half),
                   d_witness=lambda p: sqrt(p, tol), target_axiom="C",
                   params={"g": _sign_above_half}),
-        BinOpSpec("phase", conjugated_product(_phase_log),
+        BinOpSpec("phase", conjugated_product(_exp_phase),
                   d_witness=lambda p: sqrt(p, tol), target_axiom="E",
-                  params={"g": _phase_log}),
+                  params={"g": _exp_phase}),
     ]
 
 
@@ -367,35 +360,35 @@ def _structured_effects(algebra: FdAlgebra) -> list[Element]:
 
 def _linearize_in_q(op: BinOpSpec, p: Element,
                     tol: ToleranceConfig) -> Optional[LinMap]:
+    """The map q -> op(p, q), or None if four random effects refute it.
+
+    Budget: one baseline evaluation op(p, 1/2) shared by every direction,
+    two evaluations per basis element (its self-adjoint parts h and s),
+    then four sanity evaluations: 2*dim + 5 calls of ``op.eval`` in all.
+    """
     alg = p.algebra
+    lo = op.eval(p, alg.scalar(0.5))
+    half = 0.5 * alg.unit()
+
+    def on_self_adjoint(h: Element) -> Element:
+        # Candidate operations are only guaranteed on effect arguments, so
+        # shift h into the effects around 1/2 and take a difference quotient.
+        norm = operator_norm(h)
+        scale = 1.0 if norm == 0.0 else 0.25 / norm
+        return (1.0 / scale) * (op.eval(p, half + scale * h) - lo)
+
     images = []
     for e in alg.basis():
         h = 0.5 * (e + adjoint(e))
         s = -0.5j * (e - adjoint(e))
-        # Evaluate on a decomposition into effects and reassemble linearly;
-        # candidate operations are only guaranteed on effect arguments.
-        images.append(_op_on_element(op, p, h, tol) + 1j * _op_on_element(op, p, s, tol))
+        images.append(on_self_adjoint(h) + 1j * on_self_adjoint(s))
     f = make_map(alg, alg, images)
     rng = np.random.default_rng(7)
-    from .sampling import random_effect
     for _ in range(4):
         q = random_effect(alg, rng)
         if not equal(apply(f, q), op.eval(p, q), tol):
             return None
     return f
-
-
-def _op_on_element(op: BinOpSpec, p: Element, h: Element,
-                   tol: ToleranceConfig) -> Element:
-    """Evaluate q -> op(p, q) on a self-adjoint h by shifting into effects."""
-    norm = operator_norm(h)
-    if norm == 0.0:
-        scale = 1.0
-    else:
-        scale = 0.25 / norm
-    lo = op.eval(p, h.algebra.scalar(0.5))
-    hi = op.eval(p, 0.5 * h.algebra.unit() + scale * h)
-    return (1.0 / scale) * (hi - lo)
 
 
 def _witness(axiom: str, **kw) -> dict:
@@ -411,9 +404,18 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
     applicable), and a witness dictionary on failure.  The corpus mixes
     structured effects (which force the known violations deterministically)
     with seeded random ones.
+
+    Axioms B and E share one linearization of q -> op(p, q) per effect p,
+    built at most once per call (see :func:`_linearize_in_q` for its cost).
     """
     rng = np.random.default_rng(seed)
-    from .sampling import random_effect, random_projection
+    linearized: dict[Element, Optional[LinMap]] = {}
+
+    def linearize(p: Element) -> Optional[LinMap]:
+        if p not in linearized:
+            linearized[p] = _linearize_in_q(op, p, tol)
+        return linearized[p]
+
     wtol = ToleranceConfig(eps_rel=check_tol, eps_abs=check_tol,
                            snap_eps=max(check_tol, tol.snap_eps))
     report: dict[str, dict] = {}
@@ -433,7 +435,7 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
     # B: q -> op(p, q) is a pure map
     status, witness = "pass", None
     for p in structured + [random_effect(algebra, rng) for _ in range(purity_trials)]:
-        f = _linearize_in_q(op, p, tol)
+        f = linearize(p)
         if f is None:
             status, witness = "n/a", _witness("B", reason="not linear in q", p=p)
             break
@@ -475,7 +477,9 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
             break
         e2 = random_projection(algebra, rng)
         candidates = [(random_projection(algebra, rng), e2)]
-        candidates.extend(_directed_e_pairs(op, p, e2, tol))
+        f = linearize(p)
+        if f is not None:
+            candidates.extend(_directed_e_pairs(f, e2, tol))
         for e1, e2c in candidates:
             lhs = _below_complement(op.eval(p, e1), e2c, wtol)
             rhs = _below_complement(op.eval(p, e2c), e1, wtol)
@@ -493,23 +497,19 @@ def _below_complement(a: Element, e: Element, tol: ToleranceConfig) -> bool:
     return operator_norm(mul(mul(e, a), e)) <= tol.eps_abs * 100
 
 
-def _directed_e_pairs(op: BinOpSpec, p: Element, e2: Element,
+def _directed_e_pairs(f: LinMap, e2: Element,
                       tol: ToleranceConfig) -> list[tuple[Element, Element]]:
-    """Build projections e1 with op(p, e1) exactly below the complement of e2.
+    """Build projections e1 with op(p, e1) exactly below the complement of
+    e2, given the linearization f of q -> op(p, q).
 
     Random projection pairs satisfy neither side of the exchange law, which
     makes the equivalence hold vacuously; a genuine probe needs one side to
-    hold on the nose.  For rank-one e1 = vv* and a map f_p completely
-    positive in q, the side condition e2 f_p(vv*) e2 = 0 says exactly that
-    vv* sits under the kernel of the positive functional
-    trace(e2 f_p(.) e2), so candidate vectors are read off the kernel of
-    that functional's density.
+    hold on the nose.  For rank-one e1 = vv* and f completely positive, the
+    side condition e2 f(vv*) e2 = 0 says exactly that vv* sits under the
+    kernel of the positive functional trace(e2 f(.) e2), so candidate
+    vectors are read off the kernel of that functional's density.
     """
-    from .maps import density, trace_functional
-    f = _linearize_in_q(op, p, tol)
-    if f is None:
-        return []
-    alg = p.algebra
+    alg = f.dom
     comp = compose(conjugation_map(e2), f)
     omega = compose(trace_functional(alg), comp)
     rho = density(omega)

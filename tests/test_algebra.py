@@ -155,3 +155,27 @@ def test_coords_round_trip():
     rng = np.random.default_rng(0)
     a = random_element(alg, rng)
     assert equal(alg.from_coords(a.coords()), a)
+
+
+def test_operator_norm_cache_is_exact_and_not_inherited():
+    alg = make_algebra([2, 3])
+    rng = np.random.default_rng(31)
+    x, y = random_element(alg, rng), random_element(alg, rng)
+
+    def fresh(a):
+        return max(float(np.linalg.norm(b, 2)) for b in a.blocks)
+    assert operator_norm(x) == fresh(x)
+    assert operator_norm(x) == fresh(x)  # served from the cache
+    operator_norm(y)
+    for r in (x + y, x - y, x @ y, 2.5 * x, x * 2.5, -x, x.adjoint(), adjoint(x)):
+        assert r._norm is None
+        assert operator_norm(r) == fresh(r)
+    assert operator_norm(make_algebra([]).zero()) == 0.0
+
+
+@pytest.mark.parametrize("attr", ["algebra", "blocks", "_norm", "other"])
+def test_element_rejects_outside_assignment(attr):
+    x = make_algebra([2]).unit()
+    operator_norm(x)
+    with pytest.raises(AttributeError):
+        setattr(x, attr, None)

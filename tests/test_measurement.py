@@ -1,10 +1,12 @@
 """Corners, filters, purity, diamond-positivity, the sequential product,
 and its axiom battery with the four counterexample operations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vnalg import (adjoint, apply, bracket, carrier, ceiling,
+from vnalg import (DEFAULT_TOL, adjoint, apply, bracket, carrier, ceiling,
                    check_axioms, chevron, compose, conjugation_map,
                    corner_algebra, counterexample_ops, equal,
                    factor_through_corner, factor_through_filter, floor,
@@ -17,6 +19,7 @@ from vnalg import (adjoint, apply, bracket, carrier, ceiling,
 from vnalg.errors import (CarrierViolated, FilterBoundViolated, NotEffect,
                           ShapeMismatch)
 from vnalg.maps import random_cp_map
+from vnalg import measurement
 from vnalg.measurement import named_op
 from vnalg.sampling import (random_effect, random_element, random_positive,
                             random_projection, random_self_adjoint,
@@ -280,6 +283,43 @@ def test_counterexamples_fail_exactly_their_axiom(dims):
             want = "fail" if axiom == op.target_axiom else "pass"
             assert res["status"] == want, (op.name, axiom, res)
         assert rep[op.target_axiom]["witness"] is not None
+
+
+def _counting(op):
+    """op with every evaluation recorded as its (p, q) pair."""
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return op.eval(p, q)
+    return dataclasses.replace(op, eval=counted), calls
+
+
+@pytest.mark.parametrize("name", ["std", "sign"])
+def test_linearize_in_q_evaluation_budget(name):
+    # One shared baseline op(p, 1/2), two directions per basis element,
+    # four sanity checks.
+    op, calls = _counting(named_op(name, M3))
+    p = random_effect(M3, np.random.default_rng(21))
+    assert measurement._linearize_in_q(op, p, DEFAULT_TOL) is not None
+    assert len(calls) == 2 * M3.dim + 1 + 4
+
+
+@pytest.mark.parametrize("name", ["std", "sign"])
+def test_check_axioms_linearizes_each_effect_once(name, monkeypatch):
+    seen = []
+    linearize = measurement._linearize_in_q
+
+    def recording(op, p, tol):
+        seen.append(tuple(b.tobytes() for b in p.blocks))
+        return linearize(op, p, tol)
+    monkeypatch.setattr(measurement, "_linearize_in_q", recording)
+    rep = check_axioms(named_op(name, M2), M2, trials=3, seed=5, purity_trials=2)
+    assert rep["B"]["status"] == rep["E"]["status"] == "pass"
+    assert len(seen) == len(set(seen))
+    # B reaches the structured and purity effects, E the structured and
+    # random trial effects; the structured ones are shared.
+    assert len(seen) == len(measurement._structured_effects(M2)) + 2 + 3
 
 
 def test_ceil_op_forced_witness():
