@@ -277,3 +277,34 @@ def test_check_axioms_golden_bytes(op, dims):
                          "--trials", "6", "--seed", "9"])
     assert code == (0 if op == "std" else 3)
     assert out == (GOLDEN / f"{op}_{dims.replace(',', '+')}.json").read_text()
+
+
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli"
+
+
+@pytest.mark.parametrize("name, argv, payload", [
+    ("choi_cp", ["choi"], "cp_2_2+1"),
+    ("choi_transpose", ["choi"], "transpose_2+1"),
+    ("checkmap_cp", ["checkmap"], "cp_2+1_2"),
+    ("checkmap_transpose", ["checkmap"], "transpose_2+1"),
+    ("checkmap_cp_flag", ["checkmap", "--cp"], "cp_2_2+1"),
+    ("checkmap_miu", ["checkmap", "--miu"], "conj_unitary_2"),
+    ("checkmap_miu_cp", ["checkmap", "--miu"], "cp_2+1_2"),
+    ("checkmap_carrier", ["checkmap", "--carrier"], "conj_rank2_3"),
+    ("checkmap_carrier_cp", ["checkmap", "--carrier"], "cp_2_2+1"),
+    ("bang_2+1+1", ["bang", "--algebra", "2,1,1"], None),
+    ("bang_3", ["bang", "--algebra", "3"], None),
+    ("dup_check_1+1+1", ["dup-check", "--algebra", "1,1,1"], None),
+    ("corner_effect", ["corner"], "effect_2+1"),
+    ("corner_projection", ["corner"], "projection_3"),
+    ("bracket_diag", ["bracket"], "conj_diag_2"),
+    ("bracket_rank2", ["bracket"], "conj_rank2_3"),
+    ("bracket_cp", ["bracket"], "cp_2_2+1"),
+])
+def test_map_commands_golden_bytes(name, argv, payload):
+    # Map-emitting commands must print the same bytes however the maps are
+    # built or read: inputs live in <payload>.in.json, stdout in <name>.out.json.
+    stdin = (CLI_GOLDEN / f"{payload}.in.json").read_text() if payload else ""
+    code, out = run_cli(argv, stdin)
+    assert code == 0
+    assert out == (CLI_GOLDEN / f"{name}.out.json").read_text()
