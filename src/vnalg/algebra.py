@@ -85,6 +85,12 @@ class FdAlgebra:
         """Canonical matrix-unit basis, block-major then row-major in block."""
         return _basis(self)
 
+    def _block_element(self, i: int, block) -> "Element":
+        """The element with ``block`` in block i and zeros elsewhere."""
+        blocks = [np.zeros((m, m), dtype=complex) for m in self.dims]
+        blocks[i] = block
+        return Element(self, blocks)
+
     def from_coords(self, vec: np.ndarray) -> "Element":
         """Inverse of :meth:`Element.coords`."""
         vec = np.asarray(vec, dtype=complex).reshape(-1)
@@ -98,14 +104,35 @@ class FdAlgebra:
 
 @lru_cache(maxsize=None)
 def _basis(algebra: FdAlgebra) -> tuple["Element", ...]:
-    out = []
-    for i, n in enumerate(algebra.dims):
-        for j in range(n):
-            for k in range(n):
-                blocks = [np.zeros((m, m), dtype=complex) for m in algebra.dims]
-                blocks[i][j, k] = 1.0
-                out.append(Element(algebra, tuple(blocks)))
-    return tuple(out)
+    return tuple(algebra._block_element(i, unit.reshape(n, n))
+                 for i, n in enumerate(algebra.dims) for unit in np.eye(n * n))
+
+
+@lru_cache(maxsize=None)
+def _unit_index(left: FdAlgebra, right: FdAlgebra | None = None) -> np.ndarray:
+    """Index formulas on canonical coordinates, as a read-only integer array.
+
+    ``_unit_index(a)`` is the adjoint permutation P: E_s* is E_P[s], so the
+    coordinates of x* are ``conj(x.coords()[P])``.  ``_unit_index(a, b)``
+    has shape ``(a.dim, b.dim)``; entry ``[s, t]`` is the coordinate of
+    E_s (x) E_t in the realized tensor product, whose blocks are the Kronecker
+    products of the factor blocks in left-major order.
+    """
+    if right is None:
+        out = np.arange(left.dim)
+        for off, n in zip(left.offsets, left.dims):
+            out[off:off + n * n] = out[off:off + n * n].reshape(n, n).T.reshape(-1)
+    else:
+        out = np.zeros((left.dim, right.dim), dtype=int)
+        base = 0
+        for n, lo in zip(left.dims, left.offsets):
+            for m, ro in zip(right.dims, right.offsets):
+                # E_rc (x) E_st is entry (r*m + s, c*m + t) of an nm x nm block
+                local = np.arange((n * m) ** 2).reshape(n, m, n, m).transpose(0, 2, 1, 3)
+                out[lo:lo + n * n, ro:ro + m * m] = base + local.reshape(n * n, m * m)
+                base += (n * m) ** 2
+    out.setflags(write=False)
+    return out
 
 
 class Element:
@@ -131,6 +158,10 @@ class Element:
 
     def __setattr__(self, *_):
         raise AttributeError("Element is immutable")
+
+    def __reduce__(self):
+        # The default slot-state restore would go through __setattr__.
+        return Element, (self.algebra, self.blocks)
 
     def block(self, i: int) -> np.ndarray:
         return self.blocks[i]

@@ -63,5 +63,9 @@ class ClosureViolated(VnalgError):
     name = "ClosureViolated"
 
 
+class PostconditionViolated(VnalgError):
+    name = "PostconditionViolated"
+
+
 class NotCommutative(VnalgError):
     name = "NotCommutative"

@@ -54,10 +54,11 @@ def element_from_json(data: Any) -> Element:
 
 
 def map_to_json(f: LinMap) -> dict:
-    basis = f.dom.basis()
+    # The images of the basis are the matrix columns; adding 0.0 turns -0.0
+    # into 0.0, as applying f to a basis element does.
     return {"dom": algebra_to_json(f.dom),
             "cod": algebra_to_json(f.cod),
-            "images": [element_to_json(f(e)) for e in basis]}
+            "images": [element_to_json(f.cod.from_coords(col)) for col in (f.matrix + 0.0).T]}
 
 
 def map_from_json(data: Any) -> LinMap:

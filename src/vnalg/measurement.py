@@ -21,10 +21,10 @@ from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, adjoint,
                       equal, is_effect, is_positive, mul, operator_norm,
                       orthosupplement)
 from .errors import (CarrierViolated, FilterBoundViolated, NotEffect,
-                     NotPositive, ShapeMismatch)
-from .maps import (LinMap, apply, carrier, compose, conjugation_map, density,
-                   diamond_bwd, diamond_fwd, is_completely_positive, is_unital,
-                   make_map, maps_equal, mult_map, trace_functional)
+                     NotPositive, PostconditionViolated, ShapeMismatch)
+from .maps import (LinMap, _sandwich_matrix, apply, carrier, compose, conjugation_map,
+                   density, diamond_bwd, diamond_fwd, is_completely_positive,
+                   is_unital, make_map, maps_equal, mult_map, trace_functional)
 from .projections import ceiling, certify_projection, floor, projection_family
 from .division import pseudoinverse
 from .sampling import random_effect, random_projection
@@ -88,19 +88,10 @@ def corner_algebra(e: Element, tol: ToleranceConfig = DEFAULT_TOL) -> CornerCont
         kept.append(i)
         dims.append(rank)
     corner = FdAlgebra(tuple(dims))
-    embed_images = []
-    for el in corner.basis():
-        blocks = [np.zeros((m, m), dtype=complex) for m in parent.dims]
-        for c, (i, v) in enumerate(zip(kept, isometries)):
-            blocks[i] = v @ el.blocks[c] @ v.conj().T
-        embed_images.append(parent.element(blocks))
-    embed = make_map(corner, parent, embed_images)
-    compress_images = []
-    for el in parent.basis():
-        blocks = [isometries[c].conj().T @ el.blocks[i] @ isometries[c]
-                  for c, i in enumerate(kept)]
-        compress_images.append(corner.element(blocks))
-    compress = make_map(parent, corner, compress_images)
+    embed = LinMap(corner, parent, _sandwich_matrix(corner, parent, [
+        (c, i, v, v.conj().T) for c, (i, v) in enumerate(zip(kept, isometries))]))
+    compress = LinMap(parent, corner, _sandwich_matrix(parent, corner, [
+        (i, c, v.conj().T, v) for c, (i, v) in enumerate(zip(kept, isometries))]))
     return CornerContext(parent, e, corner, embed, compress, tuple(kept))
 
 
@@ -202,7 +193,8 @@ def chevron(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
 
     The result is faithful and agrees with f at the unit; it strips the
     degenerate directions so that uniqueness arguments apply.  Both
-    properties are asserted on the way out.
+    properties are checked on the way out; a failure raises
+    :class:`PostconditionViolated`.
     """
     if f.dom != f.cod:
         raise ShapeMismatch("chevron needs an endomap")
@@ -214,9 +206,10 @@ def chevron(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     out = compose(cod_ctx.compress, compose(f, dom_ctx.embed))
     if out.dom.dim:
         check = ToleranceConfig(1e-6, 1e-9, max(tol.snap_eps, 1e-6))
-        assert equal(carrier(out, tol), out.dom.unit(), check)
-        assert equal(apply(out, out.dom.unit()),
-                     apply(cod_ctx.compress, one_img), check)
+        if not equal(carrier(out, tol), out.dom.unit(), check):
+            raise PostconditionViolated("chevron is not faithful")
+        if not equal(apply(out, out.dom.unit()), apply(cod_ctx.compress, one_img), check):
+            raise PostconditionViolated("chevron changed the value at the unit")
     return out
 
 
@@ -351,9 +344,7 @@ def _structured_effects(algebra: FdAlgebra) -> list[Element]:
     for i, n in enumerate(algebra.dims):
         for pattern in ([0.5], [1.0, 0.5], [2.0 / 3.0, 0.75]):
             vals = (pattern + [0.0] * n)[:n]
-            blocks = [np.zeros((m, m), dtype=complex) for m in algebra.dims]
-            blocks[i] = np.diag(vals).astype(complex)
-            out.append(algebra.element(blocks))
+            out.append(algebra._block_element(i, np.diag(vals)))
     out.extend([algebra.unit(), 0.5 * algebra.unit()])
     return out
 
@@ -523,9 +514,7 @@ def _directed_e_pairs(f: LinMap, e2: Element,
             if vals[col] > tol.snap_eps * scale:
                 continue
             v = vecs[:, col]
-            blocks = [np.zeros((m, m), dtype=complex) for m in alg.dims]
-            blocks[i] = np.outer(v, v.conj())
-            cand = alg.element(blocks)
+            cand = alg._block_element(i, np.outer(v, v.conj()))
             if operator_norm(apply(comp, cand)) <= 1e-9:
                 out.append((cand, e2))
     return out

@@ -201,7 +201,7 @@ def commutant(elements: Sequence[Element], within: FdAlgebra,
                                       for v in np.eye(d, dtype=complex)))
     rows = [left_mult_matrix(s) - right_mult_matrix(s) for s in elements]
     stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     top = svals[0] if svals.size else 0.0
     thr = tol.snap_eps * max(1.0, top)
     null_dim = d - int(np.sum(svals > thr))
@@ -210,7 +210,9 @@ def commutant(elements: Sequence[Element], within: FdAlgebra,
 
 
 def centre(algebra: FdAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-    return commutant(list(algebra.basis()), algebra, tol)
+    """The normalized block identities I_n / sqrt(n), in block order."""
+    return Subspace(algebra, tuple(algebra._block_element(i, np.eye(n) / np.sqrt(n))
+                                   for i, n in enumerate(algebra.dims)))
 
 
 def central_support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
@@ -277,9 +279,7 @@ def central_support_partition(e: Element,
             continue
         for start in range(0, n, r):
             cols = vecs[:, start:start + r]
-            blocks = [np.zeros((m, m), dtype=complex) for m in alg.dims]
-            blocks[i] = cols @ cols.conj().T
-            pieces.append(alg.element(blocks))
+            pieces.append(alg._block_element(i, cols @ cols.conj().T))
     return pieces
 
 
@@ -294,14 +294,9 @@ def projection_family(algebra: FdAlgebra, seed: int = 0, extra: int = 4,
     rng = np.random.default_rng(seed)
     out = [algebra.zero(), algebra.unit()]
     for i, n in enumerate(algebra.dims):
-        for j in range(n):
-            blocks = [np.zeros((m, m), dtype=complex) for m in algebra.dims]
-            blocks[i][j, j] = 1.0
-            out.append(algebra.element(blocks))
+        out.extend(algebra._block_element(i, np.diag(unit)) for unit in np.eye(n))
         vec = np.ones(n) / np.sqrt(n)
-        blocks = [np.zeros((m, m), dtype=complex) for m in algebra.dims]
-        blocks[i] = np.outer(vec, vec.conj())
-        out.append(algebra.element(blocks))
+        out.append(algebra._block_element(i, np.outer(vec, vec.conj())))
     for _ in range(extra):
         out.append(random_projection(algebra, rng))
     return out

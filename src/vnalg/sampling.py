@@ -72,11 +72,9 @@ def random_rank_one_positive(algebra: FdAlgebra, rng: np.random.Generator,
                              block: int | None = None) -> Element:
     """v v* supported in a single block (a random one when unspecified)."""
     i = int(rng.integers(0, algebra.num_blocks)) if block is None else block
-    blocks = [np.zeros((m, m), dtype=complex) for m in algebra.dims]
     v = _ginibre(rng, algebra.dims[i], 1)
     v /= np.linalg.norm(v)
-    blocks[i] = v @ v.conj().T
-    return algebra.element(blocks)
+    return algebra._block_element(i, v @ v.conj().T)
 
 
 def random_density(algebra: FdAlgebra, rng: np.random.Generator) -> Element:

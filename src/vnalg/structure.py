@@ -141,7 +141,7 @@ def _sub_centre_basis(sub: StarSubalgebra, tol: ToleranceConfig) -> list[Element
             (lb @ x.coords()) - (left_mult_matrix(x) @ b.coords())
             for x in sub.basis]))
     stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     top = max(1.0, float(svals[0])) if svals.size else 1.0
     null_dim = k - int(np.sum(svals > tol.snap_eps * top))
     out = []

@@ -142,9 +142,7 @@ def _npos_oracle(f: LinMap, tuples: int, max_len: int,
             avec = []
             for _ in range(n):
                 x = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
-                blocks = [np.zeros((m, m), dtype=complex) for m in alg.dims]
-                blocks[i] = np.outer(u, x.conj())
-                avec.append(alg.element(blocks))
+                avec.append(alg._block_element(i, np.outer(u, x.conj())))
         bvec = [random_element(cod, rng) for _ in range(n)]
         total = cod.zero()
         for i in range(n):

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig,
-                      direct_sum, is_positive, mul)
+                      _unit_index, direct_sum, is_positive)
 from .errors import AlgebraMismatch, ShapeMismatch
-from .maps import LinMap, apply, block_projection, compose, make_map
+from .maps import LinMap, apply, block_projection, compose
 from . import sampling
 
 
@@ -46,33 +46,32 @@ def tensor_elements(ts: TensorStructure, a: Element, b: Element) -> Element:
     return ts.product.element(blocks)
 
 
-def map_on_simple_tensors(ts_dom: TensorStructure, cod: FdAlgebra,
-                          image_fn) -> LinMap:
-    """Linear map determined by its values on simple tensors of basis units.
+def _product_index(ts: TensorStructure) -> np.ndarray:
+    """Coordinate of E_s (x) E_t in the product, flattened over (s, t)."""
+    return _unit_index(ts.left, ts.right).reshape(-1)
 
-    Simple tensors of matrix units hit each canonical basis element of the
-    product exactly once, but not in enumeration order; columns are placed
-    by the actual coordinate index of each simple tensor.
-    """
-    matrix = np.zeros((cod.dim, ts_dom.product.dim), dtype=complex)
-    for ea in ts_dom.left.basis():
-        for eb in ts_dom.right.basis():
-            dom_el = tensor_elements(ts_dom, ea, eb)
-            idx = int(np.argmax(np.abs(dom_el.coords())))
-            matrix[:, idx] = image_fn(ea, eb).coords()
-    return LinMap(ts_dom.product, cod, matrix)
+
+def _basis_map(dom: FdAlgebra, cod: FdAlgebra, rows, cols) -> LinMap:
+    """The map sending E_cols[k] to E_rows[k] and every other basis element to 0."""
+    matrix = np.zeros((cod.dim, dom.dim), dtype=complex)
+    matrix[rows, cols] = 1.0
+    return LinMap(dom, cod, matrix)
 
 
 def tensor_maps(ts_dom: TensorStructure, ts_cod: TensorStructure,
                 f: LinMap, g: LinMap) -> LinMap:
-    """The unique linear map acting as f on left factors and g on right ones."""
+    """The unique linear map acting as f on left factors and g on right ones.
+
+    Its matrix is kron(F, G) with rows and columns moved from Kronecker
+    order to the coordinates of the realized products.
+    """
     if f.dom != ts_dom.left or g.dom != ts_dom.right:
         raise ShapeMismatch("map domains do not match the tensor structure")
     if f.cod != ts_cod.left or g.cod != ts_cod.right:
         raise ShapeMismatch("map codomains do not match the tensor structure")
-    return map_on_simple_tensors(
-        ts_dom, ts_cod.product,
-        lambda ea, eb: tensor_elements(ts_cod, apply(f, ea), apply(g, eb)))
+    matrix = np.zeros((ts_cod.product.dim, ts_dom.product.dim), dtype=complex)
+    matrix[np.ix_(_product_index(ts_cod), _product_index(ts_dom))] = np.kron(f.matrix, g.matrix)
+    return LinMap(ts_dom.product, ts_cod.product, matrix)
 
 
 def associator(a: FdAlgebra, b: FdAlgebra, c: FdAlgebra) -> LinMap:
@@ -95,22 +94,20 @@ def braiding(a: FdAlgebra, b: FdAlgebra) -> LinMap:
     """a (x) b -> b (x) a, swapping Kronecker factors blockwise."""
     ab = tensor_algebra(a, b)
     ba = tensor_algebra(b, a)
-    return map_on_simple_tensors(ab, ba.product,
-                                 lambda ea, eb: tensor_elements(ba, eb, ea))
+    return _basis_map(ab.product, ba.product, _unit_index(b, a).T.reshape(-1),
+                            _product_index(ab))
 
 
 def left_unitor(a: FdAlgebra) -> LinMap:
     """scalars (x) a -> a."""
     ts = tensor_algebra(FdAlgebra((1,)), a)
-    return map_on_simple_tensors(
-        ts, a, lambda ez, ea: complex(ez.blocks[0][0, 0]) * ea)
+    return _basis_map(ts.product, a, np.arange(a.dim), _product_index(ts))
 
 
 def right_unitor(a: FdAlgebra) -> LinMap:
     """a (x) scalars -> a."""
     ts = tensor_algebra(a, FdAlgebra((1,)))
-    return map_on_simple_tensors(
-        ts, a, lambda ea, ez: complex(ez.blocks[0][0, 0]) * ea)
+    return _basis_map(ts.product, a, np.arange(a.dim), _product_index(ts))
 
 
 def distributor(a: FdAlgebra, parts: Sequence[FdAlgebra]) -> LinMap:
@@ -122,35 +119,14 @@ def distributor(a: FdAlgebra, parts: Sequence[FdAlgebra]) -> LinMap:
     summed = direct_sum(list(parts))
     dom_ts = tensor_algebra(a, summed)
     cod = direct_sum([tensor_algebra(a, p).product for p in parts])
-    part_offsets = []
-    acc = 0
+    # E_s (x) E_t with E_t in part l goes to E_s (x) E_t in the l-th summand.
+    rows = np.zeros((a.dim, summed.dim), dtype=int)
+    t = base = 0
     for p in parts:
-        part_offsets.append(acc)
-        acc += p.num_blocks
-    cod_block_offsets = []
-    acc = 0
-    for p in parts:
-        cod_block_offsets.append(acc)
-        acc += a.num_blocks * p.num_blocks
-
-    def locate_part(j: int) -> tuple[int, int]:
-        for li in reversed(range(len(parts))):
-            if j >= part_offsets[li]:
-                return li, j - part_offsets[li]
-        raise IndexError(j)
-
-    nb_right = summed.num_blocks
-    images = []
-    for blk, n in enumerate(dom_ts.product.dims):
-        i, j = divmod(blk, nb_right)
-        l, local_j = locate_part(j)
-        dest_block = cod_block_offsets[l] + i * parts[l].num_blocks + local_j
-        for r in range(n):
-            for c in range(n):
-                blocks = [np.zeros((m, m), dtype=complex) for m in cod.dims]
-                blocks[dest_block][r, c] = 1.0
-                images.append(cod.element(blocks))
-    return make_map(dom_ts.product, cod, images)
+        rows[:, t:t + p.dim] = base + _unit_index(a, p)
+        t += p.dim
+        base += a.dim * p.dim
+    return _basis_map(dom_ts.product, cod, rows.reshape(-1), _product_index(dom_ts))
 
 
 def is_duplicable(algebra: FdAlgebra) -> bool:
@@ -161,7 +137,13 @@ def is_duplicable(algebra: FdAlgebra) -> bool:
 def multiplication_map(algebra: FdAlgebra) -> LinMap:
     """The linear extension of a (x) b -> a b on the realized tensor square."""
     ts = tensor_algebra(algebra, algebra)
-    return map_on_simple_tensors(ts, algebra, mul)
+    index = _unit_index(algebra, algebra)
+    matrix = np.zeros((algebra.dim, ts.product.dim), dtype=complex)
+    for off, n in zip(algebra.offsets, algebra.dims):
+        # E_rc E_cc' = E_rc'; every other product of matrix units is 0
+        r, c, c2 = np.indices((n, n, n)).reshape(3, -1)
+        matrix[off + r * n + c2, index[off + r * n + c, off + c * n + c2]] = 1.0
+    return LinMap(ts.product, algebra, matrix)
 
 
 def duplicator(algebra: FdAlgebra,
@@ -209,12 +191,8 @@ def classical_reflection(algebra: FdAlgebra) -> FdAlgebra:
 def classical_unit(algebra: FdAlgebra) -> LinMap:
     """The miu map onto the classical reflection: evaluation at each character."""
     points = classical_points(algebra)
-    target = classical_reflection(algebra)
-    images = []
-    for e in algebra.basis():
-        blocks = [np.array([[e.blocks[i][0, 0]]]) for i in points]
-        images.append(target.element(blocks))
-    return make_map(algebra, target, images)
+    return _basis_map(algebra, classical_reflection(algebra), np.arange(len(points)),
+                            [algebra.offsets[i] for i in points])
 
 
 def factor_through_classical(f: LinMap,
@@ -242,12 +220,7 @@ def factor_through_classical(f: LinMap,
         if matched is None:
             return None
         cols.append(matched)
-    src = classical_reflection(f.dom)
-    images = []
-    for e in src.basis():
-        blocks = [np.array([[e.blocks[cols[y]][0, 0]]]) for y in range(f.cod.num_blocks)]
-        images.append(f.cod.element(blocks))
-    return make_map(src, f.cod, images)
+    return _basis_map(classical_reflection(f.dom), f.cod, np.arange(len(cols)), cols)
 
 
 # Aliases matching the external interface names.

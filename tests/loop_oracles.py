@@ -1,0 +1,181 @@
+"""Reference implementations of the map layer that loop over the basis.
+
+Each function here builds or reads a linear map the slow, obvious way: by
+applying the map to every canonical basis element, one ``Element`` at a
+time.  The library computes the same things from index permutations and
+Kronecker products of ``LinMap.matrix``; the differential tests in
+``test_map_formulas.py`` hold the two to the same bits and verdicts.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+
+from vnalg.algebra import DEFAULT_TOL, FdAlgebra, adjoint, direct_sum, mul, operator_norm
+from vnalg.maps import LinMap, apply, make_map
+from vnalg.tensor import tensor_algebra, tensor_elements
+
+
+# ---------------------------------------------------------------------------
+# reading a map
+
+def choi_blocks(f):
+    dom, cod = f.dom, f.cod
+    out = []
+    basis_iter = iter(dom.basis())
+    for i, n in enumerate(dom.dims):
+        units = [[next(basis_iter) for _ in range(n)] for _ in range(n)]
+        images = [[apply(f, units[j][k]) for k in range(n)] for j in range(n)]
+        pieces = []
+        for l, m in enumerate(cod.dims):
+            big = np.zeros((n * m, n * m), dtype=complex)
+            for j in range(n):
+                for k in range(n):
+                    big[j * m:(j + 1) * m, k * m:(k + 1) * m] = images[j][k].blocks[l]
+            pieces.append(big)
+        out.append(scipy.linalg.block_diag(*pieces) if pieces else np.zeros((0, 0)))
+    return out
+
+
+def is_involutive(f, tol=DEFAULT_TOL):
+    for e in f.dom.basis():
+        lhs = apply(f, adjoint(e))
+        rhs = adjoint(apply(f, e))
+        if operator_norm(lhs - rhs) > tol.eps_abs + tol.eps_rel * max(
+                1.0, float(np.linalg.norm(f.matrix, 2))):
+            return False
+    return True
+
+
+def is_multiplicative(f, tol=DEFAULT_TOL):
+    basis = f.dom.basis()
+    images = [apply(f, e) for e in basis]
+    scale = max(1.0, float(np.linalg.norm(f.matrix, 2)) ** 2)
+    for ea, fa in zip(basis, images):
+        for eb, fb in zip(basis, images):
+            if operator_norm(apply(f, mul(ea, eb)) - mul(fa, fb)) > \
+                    tol.eps_abs + tol.eps_rel * scale:
+                return False
+    return True
+
+
+def map_images(f):
+    """The images of the basis elements, as ``jsonio.map_to_json`` read them."""
+    return [apply(f, e) for e in f.dom.basis()]
+
+
+# ---------------------------------------------------------------------------
+# building a map
+
+def map_on_simple_tensors(ts_dom, cod, image_fn):
+    matrix = np.zeros((cod.dim, ts_dom.product.dim), dtype=complex)
+    for ea in ts_dom.left.basis():
+        for eb in ts_dom.right.basis():
+            dom_el = tensor_elements(ts_dom, ea, eb)
+            idx = int(np.argmax(np.abs(dom_el.coords())))
+            matrix[:, idx] = image_fn(ea, eb).coords()
+    return LinMap(ts_dom.product, cod, matrix)
+
+
+def tensor_maps(ts_dom, ts_cod, f, g):
+    return map_on_simple_tensors(
+        ts_dom, ts_cod.product,
+        lambda ea, eb: tensor_elements(ts_cod, apply(f, ea), apply(g, eb)))
+
+
+def braiding(a, b):
+    ba = tensor_algebra(b, a)
+    return map_on_simple_tensors(tensor_algebra(a, b), ba.product,
+                                 lambda ea, eb: tensor_elements(ba, eb, ea))
+
+
+def left_unitor(a):
+    ts = tensor_algebra(FdAlgebra((1,)), a)
+    return map_on_simple_tensors(ts, a, lambda ez, ea: complex(ez.blocks[0][0, 0]) * ea)
+
+
+def right_unitor(a):
+    ts = tensor_algebra(a, FdAlgebra((1,)))
+    return map_on_simple_tensors(ts, a, lambda ea, ez: complex(ez.blocks[0][0, 0]) * ea)
+
+
+def multiplication_map(algebra):
+    return map_on_simple_tensors(tensor_algebra(algebra, algebra), algebra, mul)
+
+
+def distributor(a, parts):
+    summed = direct_sum(list(parts))
+    dom_ts = tensor_algebra(a, summed)
+    cod = direct_sum([tensor_algebra(a, p).product for p in parts])
+    part_offsets, cod_block_offsets = [], []
+    acc = acc2 = 0
+    for p in parts:
+        part_offsets.append(acc)
+        cod_block_offsets.append(acc2)
+        acc += p.num_blocks
+        acc2 += a.num_blocks * p.num_blocks
+
+    def locate_part(j):
+        for li in reversed(range(len(parts))):
+            if j >= part_offsets[li]:
+                return li, j - part_offsets[li]
+        raise IndexError(j)
+
+    images = []
+    for blk, n in enumerate(dom_ts.product.dims):
+        i, j = divmod(blk, summed.num_blocks)
+        l, local_j = locate_part(j)
+        dest_block = cod_block_offsets[l] + i * parts[l].num_blocks + local_j
+        for r in range(n):
+            for c in range(n):
+                blocks = [np.zeros((m, m), dtype=complex) for m in cod.dims]
+                blocks[dest_block][r, c] = 1.0
+                images.append(cod.element(blocks))
+    return make_map(dom_ts.product, cod, images)
+
+
+def transpose_map(algebra):
+    return make_map(algebra, algebra,
+                    [algebra.element(b.T for b in e.blocks) for e in algebra.basis()])
+
+
+def block_projection(algebra, j):
+    target = FdAlgebra((algebra.dims[j],))
+    return make_map(algebra, target,
+                    [target.element([e.blocks[j]]) for e in algebra.basis()])
+
+
+def classical_unit(algebra):
+    points = [i for i, n in enumerate(algebra.dims) if n == 1]
+    target = FdAlgebra(tuple(1 for _ in points))
+    images = []
+    for e in algebra.basis():
+        images.append(target.element([np.array([[e.blocks[i][0, 0]]]) for i in points]))
+    return make_map(algebra, target, images)
+
+
+def cp_from_kraus(dom, cod, ops):
+    images = []
+    for e in dom.basis():
+        blocks = [np.zeros((m, m), dtype=complex) for m in cod.dims]
+        for i, l, k in ops:
+            blocks[l] = blocks[l] + k.conj().T @ e.blocks[i] @ k
+        images.append(cod.element(blocks))
+    return make_map(dom, cod, images)
+
+
+def corner_maps(parent, corner, kept, isometries):
+    """(embed, compress) of a corner, from its per-block range isometries."""
+    embed_images = []
+    for el in corner.basis():
+        blocks = [np.zeros((m, m), dtype=complex) for m in parent.dims]
+        for c, (i, v) in enumerate(zip(kept, isometries)):
+            blocks[i] = v @ el.blocks[c] @ v.conj().T
+        embed_images.append(parent.element(blocks))
+    compress_images = []
+    for el in parent.basis():
+        compress_images.append(corner.element(
+            [isometries[c].conj().T @ el.blocks[i] @ isometries[c]
+             for c, i in enumerate(kept)]))
+    return make_map(corner, parent, embed_images), make_map(parent, corner, compress_images)

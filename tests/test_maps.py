@@ -1,6 +1,9 @@
 """Linear maps: structural predicates, Choi blocks, verdicts, carriers,
 and the diamond calculus on projections."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,33 @@ def test_positivity_exact_on_commutative_codomain():
     assert report.verdict is Verdict.NOT_POSITIVE
     assert report.witness is not None
     assert not is_positive(apply(f, report.witness))
+
+
+def test_functional_with_indefinite_density_has_a_verified_witness():
+    # Hermitian with determinant 0.06 - 0.36 < 0, so one eigenvalue is negative.
+    rho = M2.element([np.array([[0.2, 0.6j], [-0.6j, 0.3]])])
+    f = functional_from_density(rho)
+    report = is_positive_map(f)
+    assert report.verdict is Verdict.NOT_POSITIVE
+    assert is_positive(report.witness)
+    assert not is_positive(apply(f, report.witness))
+
+
+def test_elements_and_maps_survive_pickle_and_copy():
+    rng = np.random.default_rng(4)
+    a = random_element(SUM, rng)
+    operator_norm(a)
+    f = random_cp_map(M2, SUM, rng)
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        b, g = clone(a), clone(f)
+        assert b.algebra == a.algebra and all(
+            np.array_equal(x, y) for x, y in zip(b.blocks, a.blocks))
+        assert (g.dom, g.cod) == (f.dom, f.cod) and np.array_equal(g.matrix, f.matrix)
+        with pytest.raises(AttributeError):
+            b.blocks = ()
+        with pytest.raises(AttributeError):
+            g.matrix = None
+        assert not b.blocks[0].flags.writeable and not g.matrix.flags.writeable
 
 
 def test_carrier_of_conjugation():

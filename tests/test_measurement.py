@@ -17,7 +17,7 @@ from vnalg import (DEFAULT_TOL, adjoint, apply, bracket, carrier, ceiling,
                    snap_projection, standard_corner, standard_filter,
                    standard_op)
 from vnalg.errors import (CarrierViolated, FilterBoundViolated, NotEffect,
-                          ShapeMismatch)
+                          PostconditionViolated, ShapeMismatch)
 from vnalg.maps import random_cp_map
 from vnalg import measurement
 from vnalg.measurement import named_op
@@ -199,6 +199,23 @@ def test_chevron_is_faithful_with_same_unit_value(seed):
 def test_chevron_needs_endomap():
     with pytest.raises(ShapeMismatch):
         chevron(make_map(M2, M3, [M3.zero()] * M2.dim))
+
+
+def test_chevron_raises_typed_error_on_broken_postcondition(monkeypatch):
+    # The second carrier call checks the result; a zero carrier there means
+    # the chevron is not faithful, which must raise even under python -O.
+    real = measurement.carrier
+    calls = []
+
+    def carrier_of_result_is_zero(f, tol=DEFAULT_TOL):
+        calls.append(f)
+        return real(f, tol) if len(calls) == 1 else f.dom.zero()
+
+    monkeypatch.setattr(measurement, "carrier", carrier_of_result_is_zero)
+    f = conjugation_map(M2.element([np.diag([1.0, 0.5])]))
+    with pytest.raises(PostconditionViolated):
+        chevron(f)
+    assert len(calls) == 2
 
 
 def test_diamond_self_adjoint_examples():
