@@ -46,11 +46,6 @@ def tensor_elements(ts: TensorStructure, a: Element, b: Element) -> Element:
     return ts.product.element(blocks)
 
 
-def _product_index(ts: TensorStructure) -> np.ndarray:
-    """Coordinate of E_s (x) E_t in the product, flattened over (s, t)."""
-    return _unit_index(ts.left, ts.right).reshape(-1)
-
-
 def _basis_map(dom: FdAlgebra, cod: FdAlgebra, rows, cols) -> LinMap:
     """The map sending E_cols[k] to E_rows[k] and every other basis element to 0."""
     matrix = np.zeros((cod.dim, dom.dim), dtype=complex)
@@ -70,7 +65,9 @@ def tensor_maps(ts_dom: TensorStructure, ts_cod: TensorStructure,
     if f.cod != ts_cod.left or g.cod != ts_cod.right:
         raise ShapeMismatch("map codomains do not match the tensor structure")
     matrix = np.zeros((ts_cod.product.dim, ts_dom.product.dim), dtype=complex)
-    matrix[np.ix_(_product_index(ts_cod), _product_index(ts_dom))] = np.kron(f.matrix, g.matrix)
+    rows = _unit_index(ts_cod.left, ts_cod.right).reshape(-1)
+    cols = _unit_index(ts_dom.left, ts_dom.right).reshape(-1)
+    matrix[np.ix_(rows, cols)] = np.kron(f.matrix, g.matrix)
     return LinMap(ts_dom.product, ts_cod.product, matrix)
 
 
@@ -95,19 +92,21 @@ def braiding(a: FdAlgebra, b: FdAlgebra) -> LinMap:
     ab = tensor_algebra(a, b)
     ba = tensor_algebra(b, a)
     return _basis_map(ab.product, ba.product, _unit_index(b, a).T.reshape(-1),
-                            _product_index(ab))
+                      _unit_index(a, b).reshape(-1))
 
 
 def left_unitor(a: FdAlgebra) -> LinMap:
     """scalars (x) a -> a."""
-    ts = tensor_algebra(FdAlgebra((1,)), a)
-    return _basis_map(ts.product, a, np.arange(a.dim), _product_index(ts))
+    s = FdAlgebra((1,))
+    return _basis_map(tensor_algebra(s, a).product, a, np.arange(a.dim),
+                      _unit_index(s, a).reshape(-1))
 
 
 def right_unitor(a: FdAlgebra) -> LinMap:
     """a (x) scalars -> a."""
-    ts = tensor_algebra(a, FdAlgebra((1,)))
-    return _basis_map(ts.product, a, np.arange(a.dim), _product_index(ts))
+    s = FdAlgebra((1,))
+    return _basis_map(tensor_algebra(a, s).product, a, np.arange(a.dim),
+                      _unit_index(a, s).reshape(-1))
 
 
 def distributor(a: FdAlgebra, parts: Sequence[FdAlgebra]) -> LinMap:
@@ -126,7 +125,7 @@ def distributor(a: FdAlgebra, parts: Sequence[FdAlgebra]) -> LinMap:
         rows[:, t:t + p.dim] = base + _unit_index(a, p)
         t += p.dim
         base += a.dim * p.dim
-    return _basis_map(dom_ts.product, cod, rows.reshape(-1), _product_index(dom_ts))
+    return _basis_map(dom_ts.product, cod, rows.reshape(-1), _unit_index(a, summed).reshape(-1))
 
 
 def is_duplicable(algebra: FdAlgebra) -> bool:
