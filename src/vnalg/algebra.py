@@ -138,11 +138,12 @@ def _unit_index(left: FdAlgebra, right: FdAlgebra | None = None) -> np.ndarray:
 class Element:
     """A member of an :class:`FdAlgebra`: one dense complex matrix per block.
 
-    ``_norm`` caches :func:`operator_norm`; an element never changes, so the
-    cache cannot go stale.
+    ``_norm`` caches :func:`operator_norm` and ``_sqrt`` the last
+    ``(tol, root)`` of :func:`vnalg.spectral.sqrt`; an element never changes,
+    so neither cache can go stale.
     """
 
-    __slots__ = ("algebra", "blocks", "_norm")
+    __slots__ = ("algebra", "blocks", "_norm", "_sqrt")
 
     def __init__(self, algebra: FdAlgebra, blocks: Sequence[np.ndarray]):
         blocks = tuple(np.array(b, dtype=complex) for b in blocks)
@@ -151,10 +152,20 @@ class Element:
         for b, n in zip(blocks, algebra.dims):
             if b.shape != (n, n):
                 raise AlgebraMismatch(f"block shape {b.shape} does not match dim {n}")
+        self._fill(algebra, blocks)
+
+    def _fill(self, algebra: FdAlgebra, blocks: tuple[np.ndarray, ...]) -> "Element":
+        for b in blocks:
             b.setflags(write=False)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_norm", None)
+        for slot, value in zip(Element.__slots__, (algebra, blocks, None, None)):
+            object.__setattr__(self, slot, value)
+        return self
+
+    @classmethod
+    def _wrap(cls, algebra: FdAlgebra, blocks) -> "Element":
+        """Fresh complex blocks of the right shapes, laid out as a copy would lay
+        them out (so BLAS sees the same inputs), taken with no copy or check."""
+        return object.__new__(cls)._fill(algebra, tuple(blocks))
 
     def __setattr__(self, *_):
         raise AttributeError("Element is immutable")
@@ -204,24 +215,24 @@ def _same_algebra(a: Element, b: Element) -> FdAlgebra:
 
 def add(a: Element, b: Element) -> Element:
     alg = _same_algebra(a, b)
-    return alg.element(x + y for x, y in zip(a.blocks, b.blocks))
+    return Element._wrap(alg, (x + y for x, y in zip(a.blocks, b.blocks)))
 
 
 def scalar_mul(lam: complex, a: Element) -> Element:
-    return a.algebra.element(lam * x for x in a.blocks)
+    return Element._wrap(a.algebra, (lam * x for x in a.blocks))
 
 
 def mul(a: Element, b: Element) -> Element:
     alg = _same_algebra(a, b)
-    return alg.element(x @ y for x, y in zip(a.blocks, b.blocks))
+    return Element._wrap(alg, (x @ y for x, y in zip(a.blocks, b.blocks)))
 
 
 def adjoint(a: Element) -> Element:
-    return a.algebra.element(x.conj().T for x in a.blocks)
+    return Element._wrap(a.algebra, (x.conj().T for x in a.blocks))
 
 
 def real_part(a: Element) -> Element:
-    return scalar_mul(0.5, add(a, adjoint(a)))
+    return Element._wrap(a.algebra, (0.5 * (x + x.conj().T) for x in a.blocks))
 
 
 def imag_part(a: Element) -> Element:
@@ -243,26 +254,57 @@ def hs_inner(a: Element, b: Element) -> complex:
     return complex(sum(np.trace(x.conj().T @ y) for x, y in zip(a.blocks, b.blocks)))
 
 
+def _max_norm(blocks) -> float:
+    return max((float(np.linalg.norm(b, 2)) for b in blocks), default=0.0)
+
+
 def operator_norm(a: Element) -> float:
     """Max over blocks of the largest singular value, computed once per element."""
     if a._norm is None:
-        object.__setattr__(a, "_norm", max(
-            (float(np.linalg.norm(b, 2)) for b in a.blocks), default=0.0))
+        object.__setattr__(a, "_norm", _max_norm(a.blocks))
     return a._norm
 
 
-def _eq_threshold(na: float, nb: float, tol: ToleranceConfig) -> float:
-    return tol.eps_abs + tol.eps_rel * max(na, nb)
+# A Frobenius norm must clear a threshold by this relative margin to settle a
+# norm test alone; it is far above the rounding of either computed norm.
+_FRO_MARGIN = 1e-10
+
+
+def _fro_within(x: np.ndarray, floor: float):
+    """Whether ||x||_F (each, for a stack) puts the computed ||x||_2 under any
+    threshold >= floor.  NaN and inf never do; 1e-150 covers underflowed squares."""
+    if x.ndim == 2:
+        sq = np.vdot(x, x).real
+    else:
+        r = np.ascontiguousarray(x).view(float).reshape(len(x), -1)
+        sq = np.einsum("ki,ki->k", r, r)
+    return np.sqrt(sq) <= floor * (1.0 - _FRO_MARGIN) - 1e-150
+
+
+def _norm_gate(blocks: list[np.ndarray], floor: float, threshold) -> bool:
+    """_max_norm(blocks) <= threshold(), with no SVD and no threshold() when
+    Frobenius norms settle every block under ``floor``, a lower bound on it."""
+    return all(_fro_within(b, floor) for b in blocks) or _max_norm(blocks) <= threshold()
+
+
+def _diff_blocks(xs, ys) -> list[np.ndarray]:
+    """The blocks of x - y, rounded as Element subtraction rounds them."""
+    return [x + -1.0 * y for x, y in zip(xs, ys)]
 
 
 def equal(a: Element, b: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """||a - b|| <= eps_abs + eps_rel * max(||a||, ||b||)."""
     _same_algebra(a, b)
-    return operator_norm(a - b) <= _eq_threshold(operator_norm(a), operator_norm(b), tol)
+    return _norm_gate(_diff_blocks(a.blocks, b.blocks),
+                      tol.eps_abs + tol.eps_rel * max(a._norm or 0.0, b._norm or 0.0),
+                      lambda: tol.eps_abs + tol.eps_rel * max(operator_norm(a), operator_norm(b)))
 
 
 def is_self_adjoint(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return operator_norm(a - adjoint(a)) <= tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(a))
+    """||a - a*|| <= eps_abs + eps_rel * max(1, ||a||)."""
+    return _norm_gate(_diff_blocks(a.blocks, (x.conj().T for x in a.blocks)),
+                      tol.eps_abs + tol.eps_rel,
+                      lambda: tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(a)))
 
 
 def symmetrize(a: Element) -> Element:
@@ -279,10 +321,10 @@ def is_positive(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         return True
     if not is_self_adjoint(a, tol):
         return False
-    bound = -tol.eps_rel * max(1.0, operator_norm(a))
-    sym = symmetrize(a)
-    return all(float(np.linalg.eigvalsh(b).min(initial=np.inf)) >= bound
-               for b in sym.blocks if b.size)
+    mins = [float(np.linalg.eigvalsh(b).min(initial=np.inf)) for b in symmetrize(a).blocks]
+    # The bound is at most -eps_rel, so minima above that pass without ||a||.
+    return all(m >= -tol.eps_rel for m in mins) or \
+        all(m >= -tol.eps_rel * max(1.0, operator_norm(a)) for m in mins)
 
 
 def leq(a: Element, b: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -47,7 +47,10 @@ def _read_payload(args):
             text = fh.read()
     else:
         text = sys.stdin.read()
-    return jsonio.loads(text)
+    payload = jsonio.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("the payload must be a JSON object")
+    return payload
 
 
 def _emit(args, obj) -> None:

@@ -38,6 +38,11 @@ class FunctionUndefinedOnSpectrum(VnalgError):
     name = "FunctionUndefinedOnSpectrum"
 
 
+class NotFinite(VnalgError):
+    """Input data holds a NaN or infinite entry."""
+    name = "NotFinite"
+
+
 class ShapeMismatch(VnalgError):
     """Linear-map data does not match the declared domain or codomain."""
     name = "ShapeMismatch"

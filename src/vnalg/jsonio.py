@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import Element, FdAlgebra
+from .errors import NotFinite
 from .maps import LinMap, make_map
 
 
@@ -36,8 +37,10 @@ def _matrix_to_json(m: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows: Any) -> np.ndarray:
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows],
-                    dtype=complex)
+    m = np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
+    if not np.isfinite(m).all():
+        raise NotFinite("matrix entries must be finite")
+    return m
 
 
 def element_to_json(a: Element) -> dict:
@@ -46,8 +49,11 @@ def element_to_json(a: Element) -> dict:
 
 
 def element_from_json(data: Any) -> Element:
-    algebra = algebra_from_json(data["algebra"])
-    blocks = [_matrix_from_json(b) for b in data["blocks"]]
+    try:
+        algebra = algebra_from_json(data["algebra"])
+        blocks = [_matrix_from_json(b) for b in data["blocks"]]
+    except (TypeError, IndexError) as exc:  # a wrong JSON type
+        raise ValueError(f"malformed JSON: {exc}") from exc
     if len(blocks) != algebra.num_blocks:
         raise ValueError("block count does not match dims")
     return algebra.element(blocks)
@@ -62,9 +68,11 @@ def map_to_json(f: LinMap) -> dict:
 
 
 def map_from_json(data: Any) -> LinMap:
-    dom = algebra_from_json(data["dom"])
-    cod = algebra_from_json(data["cod"])
-    images = [element_from_json(e) for e in data["images"]]
+    try:
+        dom, cod = algebra_from_json(data["dom"]), algebra_from_json(data["cod"])
+        images = [element_from_json(e) for e in data["images"]]
+    except (TypeError, IndexError) as exc:  # a wrong JSON type
+        raise ValueError(f"malformed JSON: {exc}") from exc
     return make_map(dom, cod, images)
 
 

@@ -17,14 +17,16 @@ verdict instead of a bool.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _unit_index,
-                      adjoint, is_positive, mul, operator_norm, orthosupplement)
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _diff_blocks,
+                      _fro_within, _norm_gate, _unit_index, adjoint, is_positive, mul,
+                      operator_norm, orthosupplement)
 from .errors import NotPositive, ShapeMismatch
 from .projections import (ceiling, central_support, left_mult_matrix,
                           projection_family, right_mult_matrix, snap_projection,
@@ -197,8 +199,9 @@ def maps_equal(f: LinMap, g: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool
 
 def is_unital(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     one = f.cod.unit()
-    return operator_norm(apply(f, f.dom.unit()) - one) <= \
-        tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(one))
+    return _norm_gate(_diff_blocks(apply(f, f.dom.unit()).blocks, one.blocks),
+                      tol.eps_abs + tol.eps_rel,
+                      lambda: tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(one)))
 
 
 def is_subunital(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -211,20 +214,24 @@ def _image_blocks(cod: FdAlgebra, cols: np.ndarray) -> list[np.ndarray]:
             for off, m in zip(cod.offsets, cod.dims)]
 
 
-def _operator_norms(stacks: list[np.ndarray], count: int) -> np.ndarray:
-    """:func:`operator_norm` of each of ``count`` elements given as block stacks."""
+def _any_over(stacks: list[np.ndarray], count: int, tol: ToleranceConfig, scale) -> bool:
+    """Whether any of ``count`` elements, given as block stacks, has operator
+    norm over eps_abs + eps_rel * max(1, scale()); blocks settled by their
+    Frobenius norm (see :func:`vnalg.algebra._norm_gate`) take no SVD."""
     out = np.zeros(count)
     for st in stacks:
-        out = np.maximum(out, np.linalg.norm(st, 2, axis=(1, 2)))
-    return out
+        open_ = ~_fro_within(st, tol.eps_abs + tol.eps_rel)
+        if open_.any():
+            out[open_] = np.maximum(out[open_], np.linalg.norm(st[open_], 2, axis=(1, 2)))
+    return bool(out.any()) and bool(np.any(out > tol.eps_abs + tol.eps_rel * max(1.0, scale())))
 
 
 def is_involutive(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """||f(e*) - f(e)*|| within tolerance for every basis element e."""
-    thr = tol.eps_abs + tol.eps_rel * max(1.0, float(np.linalg.norm(f.matrix, 2)))
     m = f.matrix
     diff = m[:, _unit_index(f.dom)] - m.conj()[_unit_index(f.cod), :]
-    return not np.any(_operator_norms(_image_blocks(f.cod, diff), f.dom.dim) > thr)
+    return not _any_over(_image_blocks(f.cod, diff), f.dom.dim, tol,
+                         lambda: float(np.linalg.norm(m, 2)))
 
 
 def is_multiplicative(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -233,7 +240,7 @@ def is_multiplicative(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     Checked one domain row E_a at a time, a = (i, r, c): E_a E_b is E_rc'
     when E_b is E_cc' in the same block i, and 0 otherwise.
     """
-    thr = tol.eps_abs + tol.eps_rel * max(1.0, float(np.linalg.norm(f.matrix, 2)) ** 2)
+    scale = functools.cache(lambda: float(np.linalg.norm(f.matrix, 2)) ** 2)
     images = _image_blocks(f.cod, f.matrix)
     for off, n in zip(f.dom.offsets, f.dom.dims):
         for r, c in np.ndindex(n, n):
@@ -242,7 +249,7 @@ def is_multiplicative(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
                 want = np.zeros_like(img)
                 want[off + c * n:off + c * n + n] = img[off + r * n:off + r * n + n]
                 diffs.append(want - img[off + r * n + c] @ img)
-            if np.any(_operator_norms(diffs, f.dom.dim) > thr):
+            if _any_over(diffs, f.dom.dim, tol, scale):
                 return False
     return True
 

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, adjoint,
-                      is_effect, is_positive, is_self_adjoint, mul,
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _diff_blocks,
+                      _norm_gate, adjoint, is_effect, is_positive, is_self_adjoint,
                       operator_norm, orthosupplement, symmetrize)
 from .errors import NotEffect, NotPositive, NotProjection
 
@@ -49,8 +49,9 @@ class Subspace:
 
 
 def is_projection(p: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return (is_self_adjoint(p, tol)
-            and operator_norm(mul(p, p) - p) <= tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(p)))
+    return is_self_adjoint(p, tol) and _norm_gate(
+        _diff_blocks((x @ x for x in p.blocks), p.blocks), tol.eps_abs + tol.eps_rel,
+        lambda: tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(p)))
 
 
 def _snap_block(b: np.ndarray, snap: float) -> tuple[np.ndarray, bool]:

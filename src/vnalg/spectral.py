@@ -17,8 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, adjoint, is_positive,
-                      is_self_adjoint, mul, operator_norm, symmetrize)
+from .algebra import (DEFAULT_TOL, _FRO_MARGIN, Element, ToleranceConfig, _diff_blocks,
+                      _norm_gate, is_positive, is_self_adjoint, mul, operator_norm,
+                      symmetrize)
 from .errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive, NotSelfAdjoint
 
 
@@ -60,18 +61,21 @@ def spectral_radius(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 
 
 def is_normal(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    d = mul(adjoint(a), a) - mul(a, adjoint(a))
-    return operator_norm(d) <= tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(a) ** 2)
+    """||a*a - aa*|| <= eps_abs + eps_rel * max(1, ||a||^2)."""
+    return _norm_gate(_diff_blocks((x.conj().T @ x for x in a.blocks),
+                                   (x @ x.conj().T for x in a.blocks)),
+                      tol.eps_abs + tol.eps_rel,
+                      lambda: tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(a) ** 2))
 
 
-def _cluster(vals: np.ndarray, snap: float) -> list[list[int]]:
-    """Greedy clustering of eigenvalues within a snap radius."""
+def _cluster(vals: np.ndarray, near: Callable[[float], bool]) -> list[list[int]]:
+    """Greedy clustering of eigenvalues at distances ``near`` accepts."""
     clusters: list[list[int]] = []
     centers: list[complex] = []
     for idx in np.argsort(vals.real + 1e-3 * vals.imag):
         v = complex(vals[idx])
         for c, members in zip(centers, clusters):
-            if abs(v - c) <= snap:
+            if near(abs(v - c)):
                 members.append(int(idx))
                 break
         else:
@@ -80,8 +84,8 @@ def _cluster(vals: np.ndarray, snap: float) -> list[list[int]]:
     return clusters
 
 
-def _apply_block(b: np.ndarray, f: Callable[[complex], complex], snap: float,
-                 hermitian: bool) -> np.ndarray:
+def _apply_block(b: np.ndarray, f: Callable[[complex], complex],
+                 near: Callable[[float], bool], hermitian: bool) -> np.ndarray:
     if b.size == 0:
         return b
     if hermitian:
@@ -91,7 +95,7 @@ def _apply_block(b: np.ndarray, f: Callable[[complex], complex], snap: float,
         t, vecs = scipy.linalg.schur(b.astype(complex), output="complex")
         vals = np.diag(t)
     out_vals = np.empty(len(vals), dtype=complex)
-    for members in _cluster(vals, snap):
+    for members in _cluster(vals, near):
         center = np.mean(vals[members])
         if hermitian:
             center = complex(center.real)
@@ -111,27 +115,35 @@ def functional_calculus(a: Element, f: Callable[[complex], complex],
     if not is_normal(a, tol):
         raise NotNormal("functional calculus needs a normal element")
     hermitian = is_self_adjoint(a, tol)
-    snap = tol.snap_eps * max(1.0, operator_norm(a))
+    # The snap radius snap_eps * max(1, ||a||) lies between snap_eps and its
+    # Frobenius bound, so ||a|| is needed only for gaps between the two.
+    high = tol.snap_eps * max(1.0, float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
     src = symmetrize(a) if hermitian else a
-    return a.algebra.element(
-        _apply_block(b, f, snap, hermitian) for b in src.blocks)
+    return a.algebra.element(_apply_block(b, f, lambda d: d <= tol.snap_eps or (
+        d <= high and d <= tol.snap_eps * max(1.0, operator_norm(a))), hermitian)
+        for b in src.blocks)
 
 
-def _clip_sqrt(eps: float) -> Callable[[complex], complex]:
+def _clip_sqrt(a: Element, tol: ToleranceConfig) -> Callable[[complex], complex]:
     def f(lam: complex) -> complex:
         x = lam.real
-        if x < -eps:
+        # -eps_rel bounds -eps_rel * max(1, ||a||) from above
+        if x < -tol.eps_rel and x < -tol.eps_rel * max(1.0, operator_norm(a)):
             raise ValueError(f"negative eigenvalue {x}")
         return np.sqrt(max(x, 0.0))
     return f
 
 
 def sqrt(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
-    """The unique positive square root of a positive element."""
+    """The unique positive square root of a positive element, kept on ``a``
+    for the next call with the same ``tol``."""
+    if a._sqrt is not None and a._sqrt[0] == tol:
+        return a._sqrt[1]
     if not is_positive(a, tol):
         raise NotPositive("sqrt needs a positive element")
-    eps = tol.eps_rel * max(1.0, operator_norm(a))
-    return functional_calculus(a, _clip_sqrt(eps), tol)
+    root = functional_calculus(a, _clip_sqrt(a, tol), tol)
+    object.__setattr__(a, "_sqrt", (tol, root))
+    return root
 
 
 def power(a: Element, alpha: float, tol: ToleranceConfig = DEFAULT_TOL) -> Element:

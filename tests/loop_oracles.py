@@ -1,10 +1,14 @@
-"""Reference implementations of the map layer that loop over the basis.
+"""Reference implementations of the map layer and the tolerance gates.
 
-Each function here builds or reads a linear map the slow, obvious way: by
-applying the map to every canonical basis element, one ``Element`` at a
+Each map function here builds or reads a linear map the slow, obvious way:
+by applying the map to every canonical basis element, one ``Element`` at a
 time.  The library computes the same things from index permutations and
 Kronecker products of ``LinMap.matrix``; the differential tests in
 ``test_map_formulas.py`` hold the two to the same bits and verdicts.
+
+The gate functions decide each tolerance test by an SVD of every block, the
+definition the library settles by a Frobenius bound where it can; the tests
+in ``test_norm_gates.py`` hold the two to the same verdicts and exceptions.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from vnalg.algebra import DEFAULT_TOL, FdAlgebra, adjoint, direct_sum, mul, operator_norm
+from vnalg.algebra import DEFAULT_TOL, FdAlgebra, _unit_index, adjoint, direct_sum, mul, operator_norm
 from vnalg.maps import LinMap, apply, make_map
+from vnalg.spectral import _apply_block
 from vnalg.tensor import tensor_algebra, tensor_elements
 
 
@@ -179,3 +184,102 @@ def corner_maps(parent, corner, kept, isometries):
             [isometries[c].conj().T @ el.blocks[i] @ isometries[c]
              for c, i in enumerate(kept)]))
     return make_map(corner, parent, embed_images), make_map(parent, corner, compress_images)
+
+
+# ---------------------------------------------------------------------------
+# tolerance gates, decided by an SVD of every block
+
+def svd_norm(a):
+    """operator_norm, computed afresh."""
+    return max((float(np.linalg.norm(b, 2)) for b in a.blocks), default=0.0)
+
+
+def equal(a, b, tol=DEFAULT_TOL):
+    return svd_norm(a - b) <= tol.eps_abs + tol.eps_rel * max(svd_norm(a), svd_norm(b))
+
+
+def is_self_adjoint(a, tol=DEFAULT_TOL):
+    return svd_norm(a - adjoint(a)) <= tol.eps_abs + tol.eps_rel * max(1.0, svd_norm(a))
+
+
+def is_positive(a, tol=DEFAULT_TOL):
+    if not a.blocks:
+        return True
+    if not is_self_adjoint(a, tol):
+        return False
+    bound = -tol.eps_rel * max(1.0, svd_norm(a))
+    sym = 0.5 * (a + adjoint(a))
+    return all(float(np.linalg.eigvalsh(b).min(initial=np.inf)) >= bound
+               for b in sym.blocks if b.size)
+
+
+def is_normal(a, tol=DEFAULT_TOL):
+    d = mul(adjoint(a), a) - mul(a, adjoint(a))
+    return svd_norm(d) <= tol.eps_abs + tol.eps_rel * max(1.0, svd_norm(a) ** 2)
+
+
+def is_projection(p, tol=DEFAULT_TOL):
+    return (is_self_adjoint(p, tol)
+            and svd_norm(mul(p, p) - p) <= tol.eps_abs + tol.eps_rel * max(1.0, svd_norm(p)))
+
+
+def below_complement(a, e, tol=DEFAULT_TOL):
+    return svd_norm(mul(mul(e, a), e)) <= tol.eps_abs * 100
+
+
+def _image_blocks(cod, cols):
+    return [np.ascontiguousarray(cols[off:off + m * m].T).reshape(-1, m, m)
+            for off, m in zip(cod.offsets, cod.dims)]
+
+
+def _operator_norms(stacks, count):
+    out = np.zeros(count)
+    for st in stacks:
+        out = np.maximum(out, np.linalg.norm(st, 2, axis=(1, 2)))
+    return out
+
+
+def is_involutive_svd(f, tol=DEFAULT_TOL):
+    """is_involutive on the index formula, with an SVD of every image block."""
+    thr = tol.eps_abs + tol.eps_rel * max(1.0, float(np.linalg.norm(f.matrix, 2)))
+    m = f.matrix
+    diff = m[:, _unit_index(f.dom)] - m.conj()[_unit_index(f.cod), :]
+    return not np.any(_operator_norms(_image_blocks(f.cod, diff), f.dom.dim) > thr)
+
+
+def is_multiplicative_svd(f, tol=DEFAULT_TOL):
+    """is_multiplicative one domain row at a time, with an SVD of every block."""
+    thr = tol.eps_abs + tol.eps_rel * max(1.0, float(np.linalg.norm(f.matrix, 2)) ** 2)
+    images = _image_blocks(f.cod, f.matrix)
+    for off, n in zip(f.dom.offsets, f.dom.dims):
+        for r, c in np.ndindex(n, n):
+            diffs = []
+            for img in images:
+                want = np.zeros_like(img)
+                want[off + c * n:off + c * n + n] = img[off + r * n:off + r * n + n]
+                diffs.append(want - img[off + r * n + c] @ img)
+            if np.any(_operator_norms(diffs, f.dom.dim) > thr):
+                return False
+    return True
+
+
+def functional_calculus(a, f, tol=DEFAULT_TOL):
+    """functional_calculus with its snap radius computed up front."""
+    hermitian = is_self_adjoint(a, tol)
+    snap = tol.snap_eps * max(1.0, svd_norm(a))
+    src = 0.5 * (a + adjoint(a)) if hermitian else a
+    return a.algebra.element(_apply_block(b, f, lambda d: d <= snap, hermitian)
+                             for b in src.blocks)
+
+
+def sqrt(a, tol=DEFAULT_TOL):
+    """sqrt with its clipping bound computed up front."""
+    if not is_positive(a, tol):
+        raise ValueError("not positive")
+    eps = tol.eps_rel * max(1.0, svd_norm(a))
+
+    def f(lam):
+        if lam.real < -eps:
+            raise ValueError(f"negative eigenvalue {lam.real}")
+        return np.sqrt(max(lam.real, 0.0))
+    return functional_calculus(a, f, tol)

@@ -1,0 +1,80 @@
+"""Malformed and non-finite JSON at the CLI boundary: typed errors, documented
+exit codes, never a traceback."""
+
+import io
+import json
+import sys
+
+import pytest
+
+from vnalg import make_algebra
+from vnalg.cli import main
+from vnalg.jsonio import dumps, element_to_json, map_to_json
+from vnalg.maps import identity_map
+
+M2 = make_algebra([2])
+ELEMENT = element_to_json(M2.unit())
+MAP = map_to_json(identity_map(M2))
+
+
+def run_cli(argv, stdin_text):
+    old_in, old_out = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(stdin_text), io.StringIO()
+    try:
+        code = main(argv)
+        out = sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = old_in, old_out
+    return code, json.loads(out)
+
+
+def element_with(entry):
+    el = json.loads(dumps(ELEMENT))
+    el["blocks"][0][0][1] = entry
+    return el
+
+
+def payload(command, element):
+    """The command's input, carrying ``element`` (as the first image of a map)."""
+    if command != "checkmap":
+        return element
+    m = json.loads(dumps(MAP))
+    m["images"][0] = element
+    return m
+
+
+COMMANDS = ["sqrt", "spectrum", "checkmap"]
+NON_FINITE = [json.dumps(element_with(entry), allow_nan=True)
+              for entry in ([float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 0.0])]
+NON_FINITE.append(dumps(ELEMENT).replace("[0.0,0.0]", "[1e400,0.0]", 1))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_non_finite_entries_are_a_precondition_error(command, text):
+    data = payload(command, json.loads(text))
+    code, out = run_cli([command], json.dumps(data, allow_nan=True))
+    assert (code, out["error"]) == (2, "NotFinite")
+
+
+MALFORMED = {
+    "bare number block": lambda el: {**el, "blocks": [5]},
+    "bare number blocks": lambda el: {**el, "blocks": 5},
+    "bare number entry": lambda el: {**el, "blocks": [[[1, 0], [0, 1]]]},
+    "short pair": lambda el: {**el, "blocks": [[[[1], [0, 0]], [[0, 0], [1, 0]]]]},
+    "bare number dims": lambda el: {**el, "algebra": {"dims": 2}},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payloads_are_parse_errors(command, case):
+    data = payload(command, MALFORMED[case](json.loads(dumps(ELEMENT))))
+    code, out = run_cli([command], dumps(data))
+    assert (code, out["error"]) == (1, "ParseError")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_top_level_list_is_a_parse_error(command):
+    code, out = run_cli([command], dumps([payload(command, ELEMENT)]))
+    assert (code, out["error"]) == (1, "ParseError")
