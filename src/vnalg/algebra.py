@@ -135,6 +135,19 @@ def _unit_index(left: FdAlgebra, right: FdAlgebra | None = None) -> np.ndarray:
     return out
 
 
+def _block_diag(*mats) -> np.ndarray:
+    """One or more matrices on the diagonal, as ``scipy.linalg.block_diag``
+    builds them: ``atleast_2d`` blocks, their result dtype, zeros elsewhere."""
+    mats = [np.atleast_2d(m) for m in mats]
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)),
+                   dtype=np.result_type(*mats))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
 class Element:
     """A member of an :class:`FdAlgebra`: one dense complex matrix per block.
 

@@ -105,15 +105,20 @@ def _unary_projection_cmd(fn):
     return runner
 
 
+def _elements(payload) -> list:
+    elements = payload["elements"]
+    if not isinstance(elements, list):
+        raise ValueError("'elements' must be a JSON list")
+    return [jsonio.element_from_json(e) for e in elements]
+
+
 def cmd_join(args):
-    payload = _read_payload(args)
-    ps = [jsonio.element_from_json(e) for e in payload["elements"]]
+    ps = _elements(_read_payload(args))
     _emit(args, jsonio.element_to_json(join(ps, _tolerance(args))))
 
 
 def cmd_meet(args):
-    payload = _read_payload(args)
-    ps = [jsonio.element_from_json(e) for e in payload["elements"]]
+    ps = _elements(_read_payload(args))
     _emit(args, jsonio.element_to_json(meet(ps, _tolerance(args))))
 
 
@@ -389,8 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("pinv")).set_defaults(fn=cmd_pinv)
     p = common(sub.add_parser("divide"))
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--left", action="store_true")
-    group.add_argument("--right", action="store_true")
+    group.add_argument("--left", action="store_true",
+                       help="left division: the c with b·c = a")
+    group.add_argument("--right", action="store_true",
+                       help="right division, the default: the c with c·b = a")
     p.set_defaults(fn=cmd_divide)
     common(sub.add_parser("seqquot")).set_defaults(fn=cmd_seqquot)
 

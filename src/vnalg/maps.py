@@ -22,16 +22,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _diff_blocks,
-                      _fro_within, _norm_gate, _unit_index, adjoint, is_positive, mul,
-                      operator_norm, orthosupplement)
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
+                      _diff_blocks, _fro_within, _norm_gate, _unit_index, adjoint, equal,
+                      is_positive, mul, operator_norm, orthosupplement)
 from .errors import NotPositive, ShapeMismatch
 from .projections import (ceiling, central_support, left_mult_matrix,
                           projection_family, right_mult_matrix, snap_projection,
                           support)
 from . import sampling
+from .spectral import functional_calculus
 
 
 class LinMap:
@@ -281,7 +281,7 @@ def choi_blocks(f: LinMap) -> list[ChoiBlock]:
             sub = matrix[cod.offsets[l]:cod.offsets[l] + m * m,
                          dom.offsets[i]:dom.offsets[i] + n * n]
             pieces.append(sub.reshape(m, m, n, n).transpose(2, 0, 3, 1).reshape(n * m, n * m))
-        out.append(ChoiBlock(i, scipy.linalg.block_diag(*pieces) if pieces else np.zeros((0, 0))))
+        out.append(ChoiBlock(i, _block_diag(*pieces) if pieces else np.zeros((0, 0))))
     return out
 
 
@@ -427,7 +427,6 @@ def are_equivalent(f: LinMap, g: LinMap, seed: int = 0,
     """Same forward diamond on a spanning projection family."""
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    from .algebra import equal
     for e in projection_family(f.dom, seed=seed, tol=tol):
         if not equal(diamond_fwd(f, e, tol), diamond_fwd(g, e, tol), tol):
             return False
@@ -439,7 +438,6 @@ def are_contraposed(f: LinMap, g: LinMap, seed: int = 0,
     """Forward diamond of f equals backward diamond of g on a family."""
     if f.dom != g.cod or f.cod != g.dom:
         return False
-    from .algebra import equal
     for e in projection_family(f.dom, seed=seed, tol=tol):
         if not equal(diamond_fwd(f, e, tol), diamond_bwd(g, e, tol), tol):
             return False
@@ -476,7 +474,6 @@ def random_cpu_map(dom: FdAlgebra, cod: FdAlgebra, rng: np.random.Generator,
         one = apply(f, dom.unit())
         vals = [np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in one.blocks]
         if min(vals) > 1e-3:
-            from .spectral import functional_calculus
             s = functional_calculus(one, lambda lam: max(lam.real, 1e-12) ** -0.5, tol)
             return compose(mult_map(s, s), f)
     raise RuntimeError("could not draw a CP map with invertible unit image")

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _diff_blocks,
-                      _norm_gate, adjoint, is_effect, is_positive, is_self_adjoint,
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
+                      _diff_blocks, _norm_gate, adjoint, is_effect, is_positive, is_self_adjoint,
                       operator_norm, orthosupplement, symmetrize)
 from .errors import NotEffect, NotPositive, NotProjection
+from .sampling import random_projection
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,14 @@ def left_mult_matrix(s: Element) -> np.ndarray:
     """Matrix of x -> s x on canonical (row-major) coordinates."""
     if not s.blocks:
         return np.zeros((0, 0), dtype=complex)
-    return scipy.linalg.block_diag(*[np.kron(b, np.eye(b.shape[0])) for b in s.blocks])
+    return _block_diag(*[np.kron(b, np.eye(b.shape[0])) for b in s.blocks])
 
 
 def right_mult_matrix(s: Element) -> np.ndarray:
     """Matrix of x -> x s on canonical (row-major) coordinates."""
     if not s.blocks:
         return np.zeros((0, 0), dtype=complex)
-    return scipy.linalg.block_diag(*[np.kron(np.eye(b.shape[0]), b.T) for b in s.blocks])
+    return _block_diag(*[np.kron(np.eye(b.shape[0]), b.T) for b in s.blocks])
 
 
 def commutant(elements: Sequence[Element], within: FdAlgebra,
@@ -291,7 +291,6 @@ def projection_family(algebra: FdAlgebra, seed: int = 0, extra: int = 4,
     Contains 0, 1, every diagonal matrix-unit projection, per-block uniform
     rank-1 projections, and a few seeded random projections.
     """
-    from .sampling import random_projection
     rng = np.random.default_rng(seed)
     out = [algebra.zero(), algebra.unit()]
     for i, n in enumerate(algebra.dims):

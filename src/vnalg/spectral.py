@@ -3,9 +3,10 @@
 Invertibility in a direct sum of matrix algebras is blockwise, so the
 spectrum is the union of the block eigenvalue multisets.  Functional
 calculus is only offered for normal elements: per block we unitarily
-diagonalize (Schur form, which is diagonal for normal matrices) and apply
-the scalar function to the eigenvalues.  Eigenvalues closer together than
-``snap_eps * max(1, ||a||)`` are merged before applying the function, so
+diagonalize (``eigh`` for Hermitian blocks; otherwise the complex Schur form,
+diagonal for normal matrices, from scipy, which is imported on first use) and
+apply the scalar function to the eigenvalues.  Eigenvalues closer together
+than ``snap_eps * max(1, ||a||)`` are merged before applying the function, so
 that a function cannot separate numerically split degenerate eigenvalues.
 """
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (DEFAULT_TOL, _FRO_MARGIN, Element, ToleranceConfig, _diff_blocks,
                       _norm_gate, is_positive, is_self_adjoint, mul, operator_norm,
@@ -92,6 +92,7 @@ def _apply_block(b: np.ndarray, f: Callable[[complex], complex],
         vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
         vals = vals.astype(complex)
     else:
+        import scipy.linalg  # here, so that importing vnalg does not load scipy
         t, vecs = scipy.linalg.schur(b.astype(complex), output="complex")
         vals = np.diag(t)
     out_vals = np.empty(len(vals), dtype=complex)

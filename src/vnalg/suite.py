@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, FdAlgebra, ToleranceConfig, add,
+from .algebra import (DEFAULT_TOL, FdAlgebra, ToleranceConfig, _block_diag, add,
                       adjoint, equal, is_positive, leq, make_algebra, mul,
                       operator_norm, orthosupplement, scalar_mul)
 from .division import (approximate_pseudoinverse, divide, douglas_lambda, polar)
@@ -289,14 +289,13 @@ def check_lattice_identities(level: str = "full", seed: int = 7) -> tuple[bool, 
 
 
 def _conjugated_block_subalgebra(dims: list[int], rng: np.random.Generator):
-    import scipy.linalg
     inner = make_algebra(dims)
     total = sum(dims)
     big = make_algebra([total])
     u = random_unitary_block(rng, total)
     span = []
     for x in inner.basis():
-        emb = scipy.linalg.block_diag(*[b for b in x.blocks])
+        emb = _block_diag(*x.blocks)
         span.append(big.element([u @ emb @ u.conj().T]))
     return inner, big, span
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vnalg import equal, make_algebra, maps_equal
+from vnalg import equal, make_algebra, maps_equal, mul
 from vnalg.cli import main
 from vnalg.jsonio import (algebra_from_json, algebra_to_json, dumps,
                           element_from_json, element_to_json, loads,
@@ -111,6 +111,22 @@ def test_division_undefined_exit_code():
     code, out = run_cli(["divide"], dumps({"a": a, "b": b}))
     assert code == 2
     assert loads(out)["error"] == "DivisionUndefined"
+
+
+def test_divide_right_is_the_default_and_left_divides_on_the_other_side():
+    rng = np.random.default_rng(3)
+    b, c = random_element(M2, rng), random_element(M2, rng)
+    a = mul(c, b)
+    assert not equal(mul(b, c), a)  # a pair that does not commute
+    payload = dumps({"a": element_to_json(a), "b": element_to_json(b)})
+    plain, right, left = (run_cli(["divide", *flag], payload)
+                          for flag in ([], ["--right"], ["--left"]))
+    assert plain[0] == right[0] == left[0] == 0
+    assert right[1] == plain[1]
+    q_right = element_from_json(loads(right[1])["quotient"])
+    q_left = element_from_json(loads(left[1])["quotient"])
+    assert equal(mul(q_right, b), a) and equal(mul(b, q_left), a)
+    assert not equal(q_left, q_right)
 
 
 def test_check_axioms_reports_failure_with_witness():

@@ -78,3 +78,13 @@ def test_malformed_payloads_are_parse_errors(command, case):
 def test_top_level_list_is_a_parse_error(command):
     code, out = run_cli([command], dumps([payload(command, ELEMENT)]))
     assert (code, out["error"]) == (1, "ParseError")
+
+
+NOT_A_LIST_OF_ELEMENTS = [{"elements": 5}, {"elements": "x"}, {"elements": [5]}, {}]
+
+
+@pytest.mark.parametrize("command", ["join", "meet"])
+@pytest.mark.parametrize("data", NOT_A_LIST_OF_ELEMENTS, ids=json.dumps)
+def test_elements_must_be_a_list_of_elements(command, data):
+    code, out = run_cli([command], dumps(data))
+    assert (code, out["error"]) == (1, "ParseError")
