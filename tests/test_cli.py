@@ -324,3 +324,23 @@ def test_map_commands_golden_bytes(name, argv, payload):
     code, out = run_cli(argv, stdin)
     assert code == 0
     assert out == (CLI_GOLDEN / f"{name}.out.json").read_text()
+
+
+@pytest.mark.parametrize("name, argv, payload", [
+    ("sqrt_effect", ["sqrt"], "effect_2+1"),
+    ("sqrt_projection", ["sqrt"], "projection_3"),
+    ("sqrt_f_abs_effect", ["sqrt", "--f", "abs"], "effect_2+1"),
+    ("sqrt_f_abs_projection", ["sqrt", "--f", "abs"], "projection_3"),
+    ("abs_effect", ["abs"], "effect_2+1"),
+    ("abs_projection", ["abs"], "projection_3"),
+    ("pinv_effect", ["pinv"], "effect_2+1"),
+    ("pinv_projection", ["pinv"], "projection_3"),
+    ("join_projections", ["join"], "projections_3"),
+    ("meet_projections", ["meet"], "projections_3"),
+])
+def test_element_commands_golden_bytes(name, argv, payload):
+    # The element commands that share one handler factory print what their
+    # separate handlers printed.
+    code, out = run_cli(argv, (CLI_GOLDEN / f"{payload}.in.json").read_text())
+    assert code == 0
+    assert out == (CLI_GOLDEN / f"{name}.out.json").read_text()
