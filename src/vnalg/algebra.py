@@ -22,7 +22,12 @@ from .errors import AlgebraMismatch
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds for positivity, snapping, and equality tests."""
+    """Numerical thresholds for positivity, snapping, and equality tests.
+
+    The three rules below take the scale ``s`` of what they judge (a norm, or
+    a largest singular value); at the default ``s = 0`` they give the floors
+    that every scale clears, ``eps_abs + eps_rel`` and ``-eps_rel``.
+    """
 
     eps_rel: float = 1e-9
     eps_abs: float = 1e-12
@@ -33,6 +38,18 @@ class ToleranceConfig:
             raise ValueError("tolerances must be strictly positive")
         if self.snap_eps < self.eps_rel:
             raise ValueError("snap_eps must be >= eps_rel")
+
+    def threshold(self, s: float = 0.0) -> float:
+        """The norm bound eps_abs + eps_rel * max(1, s) of a defect at scale s."""
+        return self.eps_abs + self.eps_rel * max(1.0, s)
+
+    def positivity_floor(self, s: float = 0.0) -> float:
+        """The least eigenvalue -eps_rel * max(1, s) a positive element at scale s may have."""
+        return -self.eps_rel * max(1.0, s)
+
+    def snap_radius(self, s: float = 0.0) -> float:
+        """snap_eps * max(1, s): values this close at scale s count as one."""
+        return self.snap_eps * max(1.0, s)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -306,23 +323,45 @@ def _diff_blocks(xs, ys) -> list[np.ndarray]:
 
 
 def equal(a: Element, b: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """||a - b|| <= eps_abs + eps_rel * max(||a||, ||b||)."""
+    """||a - b|| <= eps_abs + eps_rel * max(||a||, ||b||).
+
+    The one tolerance rule with no 1 in the max: equality is judged relative
+    to the operands alone, so that it holds at every scale.
+    """
     _same_algebra(a, b)
-    return _norm_gate(_diff_blocks(a.blocks, b.blocks),
-                      tol.eps_abs + tol.eps_rel * max(a._norm or 0.0, b._norm or 0.0),
-                      lambda: tol.eps_abs + tol.eps_rel * max(operator_norm(a), operator_norm(b)))
+
+    def bound(na: float, nb: float) -> float:
+        return tol.eps_abs + max(na, nb) * tol.eps_rel
+
+    return _norm_gate(_diff_blocks(a.blocks, b.blocks), bound(a._norm or 0.0, b._norm or 0.0),
+                      lambda: bound(operator_norm(a), operator_norm(b)))
 
 
 def is_self_adjoint(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """||a - a*|| <= eps_abs + eps_rel * max(1, ||a||)."""
     return _norm_gate(_diff_blocks(a.blocks, (x.conj().T for x in a.blocks)),
-                      tol.eps_abs + tol.eps_rel,
-                      lambda: tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(a)))
+                      tol.threshold(), lambda: tol.threshold(operator_norm(a)))
 
 
 def symmetrize(a: Element) -> Element:
-    """Replace a by (a + a*)/2; Hermitian eigensolvers need exact symmetry."""
+    """Replace a by (a + a*)/2."""
     return real_part(a)
+
+
+def _eigh(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the Hermitian part of a block.
+
+    The one place the package calls numpy's Hermitian eigensolvers.  The
+    Hermitian part is spelled (b + b*) / 2 everywhere: an eigenvector is
+    built from Householder reflectors, which tell -0.0 from 0.0, so another
+    spelling of the same matrix can give other eigenvector bits.
+    """
+    return np.linalg.eigh((b + b.conj().T) / 2)
+
+
+def _eigvalsh(b: np.ndarray) -> np.ndarray:
+    """The eigenvalues of :func:`_eigh`, without the eigenvectors."""
+    return np.linalg.eigvalsh((b + b.conj().T) / 2)
 
 
 def is_positive(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -334,10 +373,10 @@ def is_positive(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         return True
     if not is_self_adjoint(a, tol):
         return False
-    mins = [float(np.linalg.eigvalsh(b).min(initial=np.inf)) for b in symmetrize(a).blocks]
-    # The bound is at most -eps_rel, so minima above that pass without ||a||.
-    return all(m >= -tol.eps_rel for m in mins) or \
-        all(m >= -tol.eps_rel * max(1.0, operator_norm(a)) for m in mins)
+    mins = [float(_eigvalsh(b).min(initial=np.inf)) for b in a.blocks]
+    # positivity_floor(s) <= positivity_floor(), so minima above the latter pass without ||a||.
+    return all(m >= tol.positivity_floor() for m in mins) or \
+        all(m >= tol.positivity_floor(operator_norm(a)) for m in mins)
 
 
 def leq(a: Element, b: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -78,33 +78,6 @@ def cmd_spectrum(args):
                                for blk in sp.per_block]})
 
 
-def cmd_sqrt(args):
-    tol = _tolerance(args)
-    a = jsonio.element_from_json(_read_payload(args))
-    if args.fname:
-        out = functional_calculus(a, named_function(args.fname), tol)
-    else:
-        out = sqrt(a, tol)
-    _emit(args, jsonio.element_to_json(out))
-
-
-def cmd_abs(args):
-    tol = _tolerance(args)
-    a = jsonio.element_from_json(_read_payload(args))
-    if args.fname:
-        out = functional_calculus(a, named_function(args.fname), tol)
-    else:
-        out = absolute(a, tol)
-    _emit(args, jsonio.element_to_json(out))
-
-
-def _unary_projection_cmd(fn):
-    def runner(args):
-        a = jsonio.element_from_json(_read_payload(args))
-        _emit(args, jsonio.element_to_json(fn(a, _tolerance(args))))
-    return runner
-
-
 def _elements(payload) -> list:
     elements = payload["elements"]
     if not isinstance(elements, list):
@@ -112,14 +85,18 @@ def _elements(payload) -> list:
     return [jsonio.element_from_json(e) for e in elements]
 
 
-def cmd_join(args):
-    ps = _elements(_read_payload(args))
-    _emit(args, jsonio.element_to_json(join(ps, _tolerance(args))))
-
-
-def cmd_meet(args):
-    ps = _elements(_read_payload(args))
-    _emit(args, jsonio.element_to_json(meet(ps, _tolerance(args))))
+def _element_cmd(fn, read=jsonio.element_from_json):
+    """The command printing the element fn(read(payload), tol).  A subcommand
+    with a ``--f NAME`` option applies that named function instead."""
+    def runner(args):
+        arg = read(_read_payload(args))
+        tol = _tolerance(args)
+        if getattr(args, "fname", None):
+            out = functional_calculus(arg, named_function(args.fname), tol)
+        else:
+            out = fn(arg, tol)
+        _emit(args, jsonio.element_to_json(out))
+    return runner
 
 
 def cmd_polar(args):
@@ -127,11 +104,6 @@ def cmd_polar(args):
     parts = polar(a, _tolerance(args))
     _emit(args, {"isometry": jsonio.element_to_json(parts.isometry),
                  "modulus": jsonio.element_to_json(parts.modulus)})
-
-
-def cmd_pinv(args):
-    a = jsonio.element_from_json(_read_payload(args))
-    _emit(args, jsonio.element_to_json(pseudoinverse(a, _tolerance(args))))
 
 
 def cmd_divide(args):
@@ -376,22 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("sqrt"))
     p.add_argument("--f", dest="fname", default=None,
                    help="named function: sqrt, abs, pospart, negpart, pow:A, exp-phase")
-    p.set_defaults(fn=cmd_sqrt)
+    p.set_defaults(fn=_element_cmd(sqrt))
     p = common(sub.add_parser("abs"))
     p.add_argument("--f", dest="fname", default=None)
-    p.set_defaults(fn=cmd_abs)
+    p.set_defaults(fn=_element_cmd(absolute))
 
-    common(sub.add_parser("ceil")).set_defaults(fn=_unary_projection_cmd(ceiling))
-    common(sub.add_parser("floor")).set_defaults(fn=_unary_projection_cmd(floor))
-    common(sub.add_parser("support")).set_defaults(fn=_unary_projection_cmd(support))
-    common(sub.add_parser("range")).set_defaults(fn=_unary_projection_cmd(range_projection))
-    common(sub.add_parser("join")).set_defaults(fn=cmd_join)
-    common(sub.add_parser("meet")).set_defaults(fn=cmd_meet)
-    common(sub.add_parser("csupport")).set_defaults(
-        fn=_unary_projection_cmd(central_support))
+    common(sub.add_parser("ceil")).set_defaults(fn=_element_cmd(ceiling))
+    common(sub.add_parser("floor")).set_defaults(fn=_element_cmd(floor))
+    common(sub.add_parser("support")).set_defaults(fn=_element_cmd(support))
+    common(sub.add_parser("range")).set_defaults(fn=_element_cmd(range_projection))
+    common(sub.add_parser("join")).set_defaults(fn=_element_cmd(join, _elements))
+    common(sub.add_parser("meet")).set_defaults(fn=_element_cmd(meet, _elements))
+    common(sub.add_parser("csupport")).set_defaults(fn=_element_cmd(central_support))
 
     common(sub.add_parser("polar")).set_defaults(fn=cmd_polar)
-    common(sub.add_parser("pinv")).set_defaults(fn=cmd_pinv)
+    common(sub.add_parser("pinv")).set_defaults(fn=_element_cmd(pseudoinverse))
     p = common(sub.add_parser("divide"))
     group = p.add_mutually_exclusive_group()
     group.add_argument("--left", action="store_true",

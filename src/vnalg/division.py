@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, adjoint,
+from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, _eigh, adjoint,
                       is_positive, mul, operator_norm)
 from .errors import DivisionUndefined, NotPositive, QuotientUndefined
+from .projections import _rank
 from .spectral import sqrt
 
 
@@ -69,12 +70,8 @@ def _positive_bands(a: Element, tol: ToleranceConfig) -> ApproxPseudoinverse:
     eigenvalue is captured; finite spectra make this terminate.
     """
     alg = a.algebra
-    eigpairs = []
-    for i, b in enumerate(a.blocks):
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-        eigpairs.append((vals, vecs))
-    norm = operator_norm(a)
-    cut = tol.snap_eps * max(1.0, norm)
+    eigpairs = [_eigh(b) for b in a.blocks]
+    cut = tol.snap_radius(operator_norm(a))
     positive_vals = [v for vals, _ in eigpairs for v in vals if v > cut]
     if not positive_vals:
         return ApproxPseudoinverse((), ())
@@ -162,8 +159,7 @@ def polar(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> PolarParts:
     iso_blocks, mod_blocks = [], []
     for b in a.blocks:
         u, s, vh = np.linalg.svd(b)
-        r = 0 if (s.size == 0 or s[0] <= tol.eps_abs) \
-            else int(np.sum(s > tol.snap_eps * s[0]))
+        r = _rank(s, tol)
         iso_blocks.append(u[:, :r] @ vh[:r])
         mod_blocks.append(vh.conj().T @ np.diag(s) @ vh)
     alg = a.algebra

@@ -24,9 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
-                      _diff_blocks, _fro_within, _norm_gate, _unit_index, adjoint, equal,
-                      is_positive, mul, operator_norm, orthosupplement)
-from .errors import NotPositive, ShapeMismatch
+                      _diff_blocks, _eigh, _eigvalsh, _fro_within, _norm_gate, _unit_index,
+                      adjoint, equal, is_positive, mul, operator_norm, orthosupplement,
+                      symmetrize)
+from .errors import NotFinite, NotPositive, ShapeMismatch
 from .projections import (ceiling, central_support, left_mult_matrix,
                           projection_family, right_mult_matrix, snap_projection,
                           support)
@@ -193,15 +194,13 @@ def maps_equal(f: LinMap, g: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool
         return True
     nf = float(np.linalg.norm(f.matrix, 2))
     ng = float(np.linalg.norm(g.matrix, 2))
-    return float(np.linalg.norm(f.matrix - g.matrix, 2)) <= \
-        tol.eps_abs + tol.eps_rel * max(1.0, nf, ng)
+    return float(np.linalg.norm(f.matrix - g.matrix, 2)) <= tol.threshold(max(nf, ng))
 
 
 def is_unital(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     one = f.cod.unit()
     return _norm_gate(_diff_blocks(apply(f, f.dom.unit()).blocks, one.blocks),
-                      tol.eps_abs + tol.eps_rel,
-                      lambda: tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(one)))
+                      tol.threshold(), lambda: tol.threshold(operator_norm(one)))
 
 
 def is_subunital(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -214,24 +213,37 @@ def _image_blocks(cod: FdAlgebra, cols: np.ndarray) -> list[np.ndarray]:
             for off, m in zip(cod.offsets, cod.dims)]
 
 
+def _require_finite(m: np.ndarray) -> None:
+    """Raise NotFinite before LAPACK sees a NaN or infinite entry."""
+    if not np.isfinite(m).all():
+        raise NotFinite("the map has a non-finite entry")
+
+
+def _finite_norm(m: np.ndarray) -> float:
+    """The operator norm of m; NotFinite rather than an SVD of a non-finite m."""
+    _require_finite(m)
+    return float(np.linalg.norm(m, 2))
+
+
 def _any_over(stacks: list[np.ndarray], count: int, tol: ToleranceConfig, scale) -> bool:
     """Whether any of ``count`` elements, given as block stacks, has operator
-    norm over eps_abs + eps_rel * max(1, scale()); blocks settled by their
-    Frobenius norm (see :func:`vnalg.algebra._norm_gate`) take no SVD."""
+    norm over ``tol.threshold(scale())``; blocks settled by their Frobenius
+    norm (see :func:`vnalg.algebra._norm_gate`) take no SVD and no finiteness
+    check, and an open block with a non-finite entry raises NotFinite."""
     out = np.zeros(count)
     for st in stacks:
-        open_ = ~_fro_within(st, tol.eps_abs + tol.eps_rel)
+        open_ = ~_fro_within(st, tol.threshold())
         if open_.any():
+            _require_finite(st[open_])
             out[open_] = np.maximum(out[open_], np.linalg.norm(st[open_], 2, axis=(1, 2)))
-    return bool(out.any()) and bool(np.any(out > tol.eps_abs + tol.eps_rel * max(1.0, scale())))
+    return bool(out.any()) and bool(np.any(out > tol.threshold(scale())))
 
 
 def is_involutive(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """||f(e*) - f(e)*|| within tolerance for every basis element e."""
     m = f.matrix
     diff = m[:, _unit_index(f.dom)] - m.conj()[_unit_index(f.cod), :]
-    return not _any_over(_image_blocks(f.cod, diff), f.dom.dim, tol,
-                         lambda: float(np.linalg.norm(m, 2)))
+    return not _any_over(_image_blocks(f.cod, diff), f.dom.dim, tol, lambda: _finite_norm(m))
 
 
 def is_multiplicative(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -240,7 +252,7 @@ def is_multiplicative(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     Checked one domain row E_a at a time, a = (i, r, c): E_a E_b is E_rc'
     when E_b is E_cc' in the same block i, and 0 otherwise.
     """
-    scale = functools.cache(lambda: float(np.linalg.norm(f.matrix, 2)) ** 2)
+    scale = functools.cache(lambda: _finite_norm(f.matrix) ** 2)
     images = _image_blocks(f.cod, f.matrix)
     for off, n in zip(f.dom.offsets, f.dom.dims):
         for r, c in np.ndindex(n, n):
@@ -291,8 +303,8 @@ def min_choi_eigenvalue(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     for cb in choi_blocks(f):
         if cb.matrix.size == 0:
             continue
-        h = (cb.matrix + cb.matrix.conj().T) / 2
-        worst = min(worst, float(np.linalg.eigvalsh(h).min()))
+        _require_finite(cb.matrix)
+        worst = min(worst, float(_eigvalsh(cb.matrix).min()))
     return 0.0 if np.isinf(worst) else float(worst)
 
 
@@ -301,11 +313,10 @@ def is_completely_positive(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> boo
         if cb.matrix.size == 0:
             continue
         m = cb.matrix
-        scale = max(1.0, float(np.linalg.norm(m, 2)))
-        if float(np.linalg.norm(m - m.conj().T, 2)) > tol.eps_abs + tol.eps_rel * scale:
+        scale = _finite_norm(m)
+        if float(np.linalg.norm(m - m.conj().T, 2)) > tol.threshold(scale):
             return False
-        h = (m + m.conj().T) / 2
-        if float(np.linalg.eigvalsh(h).min()) < -tol.eps_rel * scale:
+        if float(_eigvalsh(m).min()) < tol.positivity_floor(scale):
             return False
     return True
 
@@ -344,7 +355,7 @@ def is_positive_map(f: LinMap, samples: int = 200, seed: int = 0,
     if not is_involutive(f, tol):
         # Positive maps preserve the involution, so the verdict is already
         # decided; the loop only looks for a concrete witness.
-        hermitian = [0.5 * (e + adjoint(e)) for e in f.dom.basis()]
+        hermitian = [symmetrize(e) for e in f.dom.basis()]
         candidates = _structured_positives(f.dom) + [mul(h, h) for h in hermitian]
         return PositivityReport(Verdict.NOT_POSITIVE, next(
             (a for a in candidates if not is_positive(apply(f, a), tol)), None))
@@ -375,9 +386,8 @@ def is_positive_map(f: LinMap, samples: int = 200, seed: int = 0,
 def _negative_direction_witness(rho: Element,
                                 tol: ToleranceConfig) -> Optional[Element]:
     for i, b in enumerate(rho.blocks):
-        h = (b + b.conj().T) / 2
-        vals, vecs = np.linalg.eigh(h)
-        if vals.size and vals[0] < -tol.eps_rel * max(1.0, operator_norm(rho)):
+        vals, vecs = _eigh(b)
+        if vals.size and vals[0] < tol.positivity_floor(operator_norm(rho)):
             v = vecs[:, 0]
             return rho.algebra._block_element(i, np.outer(v, v.conj()))
     return None
@@ -408,7 +418,7 @@ def central_carrier(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
 def diamond_fwd(f: LinMap, e: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Ceiling of f(e): where f sends the projection e."""
     img = apply(f, e)
-    return snap_projection(ceiling(0.5 * (img + adjoint(img)), tol), tol)
+    return snap_projection(ceiling(symmetrize(img), tol), tol)
 
 
 def diamond_bwd(f: LinMap, e: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
@@ -472,7 +482,7 @@ def random_cpu_map(dom: FdAlgebra, cod: FdAlgebra, rng: np.random.Generator,
     for _ in range(50):
         f = random_cp_map(dom, cod, rng, terms=terms)
         one = apply(f, dom.unit())
-        vals = [np.linalg.eigvalsh((b + b.conj().T) / 2).min() for b in one.blocks]
+        vals = [_eigvalsh(b).min() for b in one.blocks]
         if min(vals) > 1e-3:
             s = functional_calculus(one, lambda lam: max(lam.real, 1e-12) ** -0.5, tol)
             return compose(mult_map(s, s), f)

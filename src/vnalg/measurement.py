@@ -17,9 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _norm_gate,
-                      adjoint, equal, is_effect, is_positive, mul, operator_norm,
-                      orthosupplement)
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, _eigvalsh,
+                      _norm_gate, adjoint, equal, imag_part, is_effect, is_positive, mul,
+                      operator_norm, orthosupplement, symmetrize)
 from .errors import (CarrierViolated, FilterBoundViolated, NotEffect,
                      NotPositive, PostconditionViolated, ShapeMismatch)
 from .maps import (LinMap, _sandwich_matrix, apply, carrier, compose, conjugation_map,
@@ -80,8 +80,7 @@ def corner_algebra(e: Element, tol: ToleranceConfig = DEFAULT_TOL) -> CornerCont
     kept: list[int] = []
     dims: list[int] = []
     for i, b in enumerate(e.blocks):
-        vals = np.linalg.eigvalsh((b + b.conj().T) / 2)
-        rank = int(np.sum(vals > 0.5))
+        rank = int(np.sum(_eigvalsh(b) > 0.5))
         if rank == 0:
             continue
         isometries.append(_range_isometry(b, rank))
@@ -123,7 +122,7 @@ def factor_through_filter(f: LinMap, d: Element,
     one_img = apply(f, f.dom.unit())
     if not is_positive(bound - one_img, tol):
         raise FilterBoundViolated("f(1) is not below d*d")
-    bound_sym = 0.5 * (bound + adjoint(bound))
+    bound_sym = symmetrize(bound)
     root = sqrt(bound_sym, tol)
     pinv_root = pseudoinverse(root, tol)
     ctx = corner_algebra(ceiling(bound_sym, tol), tol)
@@ -138,8 +137,9 @@ def factor_through_corner(f: LinMap, e: Element,
                           tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     """Unique g with f = g o (compression by e), given f vanishes under e."""
     img = apply(f, orthosupplement(e))
-    if operator_norm(img) > tol.eps_abs + 100 * tol.eps_rel * max(
-            1.0, float(np.linalg.norm(f.matrix, 2))):
+    # the usual threshold, widened 100 times
+    scale = max(1.0, float(np.linalg.norm(f.matrix, 2)))
+    if operator_norm(img) > tol.eps_abs + 100 * tol.eps_rel * scale:
         raise CarrierViolated("f does not vanish on the complement of e")
     ctx = corner_algebra(e, tol)
     return compose(f, ctx.embed)
@@ -150,7 +150,7 @@ def bracket(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     the corner of f(1): f factors as filter o bracket o corner."""
     car = carrier(f, tol)
     one_img = apply(f, f.dom.unit())
-    one_sym = 0.5 * (one_img + adjoint(one_img))
+    one_sym = symmetrize(one_img)
     dom_ctx = corner_algebra(car, tol)
     cod_ctx = corner_algebra(ceiling(one_sym, tol), tol)
     root = sqrt(one_sym, tol)
@@ -200,7 +200,7 @@ def chevron(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
         raise ShapeMismatch("chevron needs an endomap")
     car = carrier(f, tol)
     one_img = apply(f, f.dom.unit())
-    one_sym = 0.5 * (one_img + adjoint(one_img))
+    one_sym = symmetrize(one_img)
     dom_ctx = corner_algebra(car, tol)
     cod_ctx = corner_algebra(ceiling(one_sym, tol), tol)
     out = compose(cod_ctx.compress, compose(f, dom_ctx.embed))
@@ -239,7 +239,7 @@ def is_diamond_positive(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     one_img = apply(f, f.dom.unit())
     if not is_positive(one_img, tol):
         return False
-    root = sqrt(0.5 * (one_img + adjoint(one_img)), tol)
+    root = sqrt(symmetrize(one_img), tol)
     return maps_equal(f, mult_map(root, root), tol)
 
 
@@ -298,7 +298,7 @@ def counterexample_ops(algebra: FdAlgebra,
     def op_floorsplit(p, q):
         fl = floor(p, tol)
         rest = p - fl
-        root = sqrt(0.5 * (rest + adjoint(rest)), tol)
+        root = sqrt(symmetrize(rest), tol)
         return mul(mul(fl, q), fl) + mul(mul(root, q), root)
 
     def conjugated_product(g):
@@ -370,9 +370,7 @@ def _linearize_in_q(op: BinOpSpec, p: Element,
 
     images = []
     for e in alg.basis():
-        h = 0.5 * (e + adjoint(e))
-        s = -0.5j * (e - adjoint(e))
-        images.append(on_self_adjoint(h) + 1j * on_self_adjoint(s))
+        images.append(on_self_adjoint(symmetrize(e)) + 1j * on_self_adjoint(imag_part(e)))
     f = make_map(alg, alg, images)
     rng = np.random.default_rng(7)
     for _ in range(4):
@@ -509,10 +507,10 @@ def _directed_e_pairs(f: LinMap, e2: Element,
         return []
     out = []
     for i, b in enumerate(rho.blocks):
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-        scale = max(1.0, operator_norm(rho))
+        vals, vecs = _eigh(b)
+        cut = tol.snap_radius(operator_norm(rho))
         for col in range(vals.size):
-            if vals[col] > tol.snap_eps * scale:
+            if vals[col] > cut:
                 continue
             v = vecs[:, col]
             cand = alg._block_element(i, np.outer(v, v.conj()))

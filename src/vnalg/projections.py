@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
-                      _diff_blocks, _norm_gate, adjoint, is_effect, is_positive, is_self_adjoint,
-                      operator_norm, orthosupplement, symmetrize)
+                      _diff_blocks, _eigh, _norm_gate, adjoint, is_effect, is_positive,
+                      is_self_adjoint, operator_norm, orthosupplement)
 from .errors import NotEffect, NotPositive, NotProjection
 from .sampling import random_projection
 
@@ -44,18 +44,17 @@ class Subspace:
         for b in self.basis:
             bc = b.coords()
             v = v - bc * np.vdot(bc, v)
-        return float(np.linalg.norm(v)) <= tol.eps_abs + tol.eps_rel * max(
-            1.0, float(np.linalg.norm(a.coords())))
+        return float(np.linalg.norm(v)) <= tol.threshold(float(np.linalg.norm(a.coords())))
 
 
 def is_projection(p: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return is_self_adjoint(p, tol) and _norm_gate(
-        _diff_blocks((x @ x for x in p.blocks), p.blocks), tol.eps_abs + tol.eps_rel,
-        lambda: tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(p)))
+        _diff_blocks((x @ x for x in p.blocks), p.blocks), tol.threshold(),
+        lambda: tol.threshold(operator_norm(p)))
 
 
 def _snap_block(b: np.ndarray, snap: float) -> tuple[np.ndarray, bool]:
-    vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
+    vals, vecs = _eigh(b)
     keep = vals >= 0.5
     if np.any((vals > snap) & (vals < 1.0 - snap)):
         raise NotProjection("eigenvalues too far from {0,1} to snap")
@@ -84,10 +83,12 @@ def certify_projection(p: Element, tol: ToleranceConfig = DEFAULT_TOL,
     return ProjectionCertificate(p.algebra.element(out), did)
 
 
-def _spectral_projection(a: Element, predicate, tol: ToleranceConfig) -> Element:
+def _spectral_projection(a: Element, predicate) -> Element:
+    """Per block, the projection onto the eigenvectors of the Hermitian part
+    whose eigenvalues satisfy ``predicate``."""
     blocks = []
-    for b in symmetrize(a).blocks:
-        vals, vecs = np.linalg.eigh(b)
+    for b in a.blocks:
+        vals, vecs = _eigh(b)
         keep = np.array([bool(predicate(float(v))) for v in vals])
         v1 = vecs[:, keep]
         blocks.append(v1 @ v1.conj().T)
@@ -104,29 +105,28 @@ def ceiling(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     norm = operator_norm(a)
     if norm <= tol.eps_abs:
         return a.algebra.zero()
-    return _spectral_projection(a, lambda v: v > tol.snap_eps * norm, tol)
+    return _spectral_projection(a, lambda v: v > tol.snap_eps * norm)
 
 
 def floor(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Greatest projection below an effect a."""
     if not is_effect(a, tol):
         raise NotEffect("floor needs an effect")
-    return _spectral_projection(a, lambda v: v >= 1.0 - tol.snap_eps, tol)
+    return _spectral_projection(a, lambda v: v >= 1.0 - tol.snap_eps)
 
 
-def _rank(block: np.ndarray, snap: float, zero_floor: float) -> int:
-    if block.size == 0:
+def _rank(s: np.ndarray, tol: ToleranceConfig) -> int:
+    """The number of singular values ``s`` (descending) above snap_eps times
+    the largest; none when the largest is at most eps_abs."""
+    if s.size == 0 or s[0] <= tol.eps_abs:
         return 0
-    s = np.linalg.svd(block, compute_uv=False)
-    if s.size == 0 or s[0] <= zero_floor:
-        return 0
-    return int(np.sum(s > snap * s[0]))
+    return int(np.sum(s > tol.snap_eps * s[0]))
 
 
 def rank_profile(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:
     """Per-block rank: singular values thresholded at snap_eps relative to
     the largest, with blocks below eps_abs treated as zero."""
-    return tuple(_rank(b, tol.snap_eps, tol.eps_abs) for b in a.blocks)
+    return tuple(_rank(np.linalg.svd(b, compute_uv=False), tol) for b in a.blocks)
 
 
 def support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
@@ -138,8 +138,7 @@ def support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     blocks = []
     for b in a.blocks:
         _, s, vh = np.linalg.svd(b)
-        r = _rank(b, tol.snap_eps, tol.eps_abs)
-        v = vh[:r].conj().T
+        v = vh[:_rank(s, tol)].conj().T
         blocks.append(v @ v.conj().T)
     return a.algebra.element(blocks)
 
@@ -204,8 +203,7 @@ def commutant(elements: Sequence[Element], within: FdAlgebra,
     stacked = np.vstack(rows)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     top = svals[0] if svals.size else 0.0
-    thr = tol.snap_eps * max(1.0, top)
-    null_dim = d - int(np.sum(svals > thr))
+    null_dim = d - int(np.sum(svals > tol.snap_radius(top)))
     basis_vecs = vh[d - null_dim:].conj()
     return Subspace(within, tuple(within.from_coords(v) for v in basis_vecs))
 
@@ -218,7 +216,7 @@ def centre(algebra: FdAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 def central_support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Smallest central projection z with z a = a: the nonzero-block indicator."""
-    thr = tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(a))
+    thr = tol.threshold(operator_norm(a))
     blocks = []
     for b in a.blocks:
         on = float(np.linalg.norm(b, 2)) > thr if b.size else False
@@ -228,7 +226,7 @@ def central_support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
 
 def is_central(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Each block a scalar multiple of the block identity."""
-    thr = tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(a))
+    thr = tol.threshold(operator_norm(a))
     for b in a.blocks:
         n = b.shape[0]
         lam = np.trace(b) / n
@@ -247,8 +245,8 @@ def mvn_below(e1: Element, e2: Element,
     _require_projections([e1, e2], tol)
     blocks = []
     for b1, b2 in zip(e1.blocks, e2.blocks):
-        vals1, vecs1 = np.linalg.eigh((b1 + b1.conj().T) / 2)
-        vals2, vecs2 = np.linalg.eigh((b2 + b2.conj().T) / 2)
+        vals1, vecs1 = _eigh(b1)
+        vals2, vecs2 = _eigh(b2)
         r1 = int(np.sum(vals1 > 0.5))
         r2 = int(np.sum(vals2 > 0.5))
         if r1 > r2:
@@ -274,7 +272,7 @@ def central_support_partition(e: Element,
     pieces: list[Element] = []
     for i, b in enumerate(e.blocks):
         n = b.shape[0]
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
+        vals, vecs = _eigh(b)
         r = int(np.sum(vals > 0.5))
         if r == 0:
             continue

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, _FRO_MARGIN, Element, ToleranceConfig, _diff_blocks,
-                      _norm_gate, is_positive, is_self_adjoint, mul, operator_norm,
-                      symmetrize)
+                      _eigh, _eigvalsh, _norm_gate, is_positive, is_self_adjoint, mul,
+                      operator_norm, symmetrize)
 from .errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive, NotSelfAdjoint
 
 
@@ -48,7 +48,7 @@ def spectrum(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     per_block = []
     for b in a.blocks:
         if hermitian:
-            vals = np.linalg.eigvalsh((b + b.conj().T) / 2).astype(complex)
+            vals = _eigvalsh(b).astype(complex)
         else:
             vals = np.linalg.eigvals(b)
         per_block.append(_sorted(vals))
@@ -64,8 +64,7 @@ def is_normal(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """||a*a - aa*|| <= eps_abs + eps_rel * max(1, ||a||^2)."""
     return _norm_gate(_diff_blocks((x.conj().T @ x for x in a.blocks),
                                    (x @ x.conj().T for x in a.blocks)),
-                      tol.eps_abs + tol.eps_rel,
-                      lambda: tol.eps_abs + tol.eps_rel * max(1.0, operator_norm(a) ** 2))
+                      tol.threshold(), lambda: tol.threshold(operator_norm(a) ** 2))
 
 
 def _cluster(vals: np.ndarray, near: Callable[[float], bool]) -> list[list[int]]:
@@ -89,7 +88,7 @@ def _apply_block(b: np.ndarray, f: Callable[[complex], complex],
     if b.size == 0:
         return b
     if hermitian:
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
+        vals, vecs = _eigh(b)
         vals = vals.astype(complex)
     else:
         import scipy.linalg  # here, so that importing vnalg does not load scipy
@@ -116,20 +115,20 @@ def functional_calculus(a: Element, f: Callable[[complex], complex],
     if not is_normal(a, tol):
         raise NotNormal("functional calculus needs a normal element")
     hermitian = is_self_adjoint(a, tol)
-    # The snap radius snap_eps * max(1, ||a||) lies between snap_eps and its
-    # Frobenius bound, so ||a|| is needed only for gaps between the two.
-    high = tol.snap_eps * max(1.0, float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
-    src = symmetrize(a) if hermitian else a
-    return a.algebra.element(_apply_block(b, f, lambda d: d <= tol.snap_eps or (
-        d <= high and d <= tol.snap_eps * max(1.0, operator_norm(a))), hermitian)
-        for b in src.blocks)
+    # The snap radius at scale ||a|| lies between its value at scale 0 and at
+    # the Frobenius bound, so ||a|| is needed only for gaps between the two.
+    low = tol.snap_radius()
+    high = tol.snap_radius(float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
+    return a.algebra.element(_apply_block(b, f, lambda d: d <= low or (
+        d <= high and d <= tol.snap_radius(operator_norm(a))), hermitian)
+        for b in a.blocks)
 
 
 def _clip_sqrt(a: Element, tol: ToleranceConfig) -> Callable[[complex], complex]:
     def f(lam: complex) -> complex:
         x = lam.real
-        # -eps_rel bounds -eps_rel * max(1, ||a||) from above
-        if x < -tol.eps_rel and x < -tol.eps_rel * max(1.0, operator_norm(a)):
+        # the floor at scale 0 bounds the floor at scale ||a|| from above
+        if x < tol.positivity_floor() and x < tol.positivity_floor(operator_norm(a)):
             raise ValueError(f"negative eigenvalue {x}")
         return np.sqrt(max(x, 0.0))
     return f

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, add,
-                      adjoint, equal, hs_inner, mul, operator_norm)
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, add,
+                      adjoint, equal, hs_inner, mul, operator_norm, symmetrize)
 from .division import polar
 from .errors import ClosureViolated, NotCommutative, NotPositive
 from .maps import LinMap, is_positive_functional, make_map
-from .projections import left_mult_matrix
+from .projections import _spectral_projection, left_mult_matrix
 from .spectral import spectrum
 
 
@@ -48,8 +48,9 @@ class StarSubalgebra:
 
     def contains(self, a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         resid = a - self.project(a)
-        return operator_norm(resid) <= tol.eps_abs + 1e3 * tol.eps_rel * max(
-            1.0, operator_norm(a))
+        # the usual threshold, widened 1000 times
+        scale = max(1.0, operator_norm(a))
+        return operator_norm(resid) <= tol.eps_abs + 1e3 * tol.eps_rel * scale
 
 
 def _orthonormalize(ambient: FdAlgebra, vectors: list[np.ndarray],
@@ -58,7 +59,7 @@ def _orthonormalize(ambient: FdAlgebra, vectors: list[np.ndarray],
         return ()
     stack = np.array(vectors)
     _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = svals > tol.snap_eps * max(1.0, float(svals[0]))
+    keep = svals > tol.snap_radius(float(svals[0]))
     return tuple(ambient.from_coords(row) for row in vh[: int(np.sum(keep))])
 
 
@@ -142,8 +143,7 @@ def _sub_centre_basis(sub: StarSubalgebra, tol: ToleranceConfig) -> list[Element
             for x in sub.basis]))
     stacked = np.vstack(rows)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    top = max(1.0, float(svals[0])) if svals.size else 1.0
-    null_dim = k - int(np.sum(svals > tol.snap_eps * top))
+    null_dim = k - int(np.sum(svals > tol.snap_radius(float(svals[0]))))
     out = []
     for row in vh[k - null_dim:].conj():
         el = sub.ambient.zero()
@@ -159,21 +159,12 @@ def _spectral_projections_in_sub(a: Element, sub: StarSubalgebra,
     eigenvalues; each is a limit of polynomials in a, hence in the algebra."""
     sp = spectrum(a, tol)
     vals = np.array(sp.real_values())
-    snap = tol.snap_eps * max(1.0, operator_norm(a))
+    radius = max(tol.snap_radius(operator_norm(a)), 1e-8)
     reps: list[float] = []
     for v in np.sort(vals):
-        if not reps or v - reps[-1] > max(snap, 1e-8):
+        if not reps or v - reps[-1] > radius:
             reps.append(float(v))
-    projs = []
-    for r in reps:
-        blocks = []
-        for b in a.blocks:
-            bvals, bvecs = np.linalg.eigh((b + b.conj().T) / 2)
-            keep = np.abs(bvals - r) <= max(snap, 1e-8)
-            v1 = bvecs[:, keep]
-            blocks.append(v1 @ v1.conj().T)
-        projs.append(a.algebra.element(blocks))
-    return projs
+    return [_spectral_projection(a, lambda v: abs(v - r) <= radius) for r in reps]
 
 
 def _random_self_adjoint_in(sub: StarSubalgebra, rng: np.random.Generator,
@@ -182,7 +173,7 @@ def _random_self_adjoint_in(sub: StarSubalgebra, rng: np.random.Generator,
     el = sub.ambient.zero()
     for c, b in zip(coeffs, within):
         el = add(el, c * b)
-    return 0.5 * (el + adjoint(el))
+    return symmetrize(el)
 
 
 def _minimal_projection(sub: StarSubalgebra, factor_unit: Element,
@@ -309,10 +300,8 @@ def gns(omega: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> GnsResult:
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             gram[i, j] = row @ mul(adjoint(x), y).coords()
-    gram = (gram + gram.conj().T) / 2
-    vals, vecs = np.linalg.eigh(gram)
-    scale = max(1.0, float(vals.max(initial=0.0)))
-    keep = vals > tol.snap_eps * scale
+    vals, vecs = _eigh(gram)
+    keep = vals > tol.snap_radius(float(vals.max(initial=0.0)))
     kept_vals = vals[keep]
     kept_vecs = vecs[:, keep]
     hdim = int(kept_vals.size)

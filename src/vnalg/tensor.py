@@ -212,8 +212,7 @@ def factor_through_classical(f: LinMap,
         matched = None
         for idx, i in enumerate(points):
             probe = block_projection(f.dom, i)
-            if np.allclose(omega.matrix, probe.matrix,
-                           atol=tol.eps_abs + tol.eps_rel):
+            if np.allclose(omega.matrix, probe.matrix, atol=tol.threshold()):
                 matched = idx
                 break
         if matched is None:

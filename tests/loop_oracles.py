@@ -9,6 +9,10 @@ Kronecker products of ``LinMap.matrix``; the differential tests in
 The gate functions decide each tolerance test by an SVD of every block, the
 definition the library settles by a Frobenius bound where it can; the tests
 in ``test_norm_gates.py`` hold the two to the same verdicts and exceptions.
+
+The ``*_symmetrized`` functions feed the Hermitian eigensolvers
+``symmetrize(a)`` where the library passes raw blocks to ``algebra._eigh``;
+``test_hermitian_path.py`` holds the two to the same bits, up to signed zeros.
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from vnalg.algebra import DEFAULT_TOL, FdAlgebra, _unit_index, adjoint, direct_sum, mul, operator_norm
+from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _unit_index, adjoint,
+                          direct_sum, mul, operator_norm, symmetrize)
+from vnalg.algebra import is_self_adjoint as lib_is_self_adjoint
+from vnalg.errors import NotFinite, NotNormal
 from vnalg.maps import LinMap, apply, make_map
 from vnalg.spectral import _apply_block
+from vnalg.spectral import is_normal as lib_is_normal
 from vnalg.tensor import tensor_algebra, tensor_elements
 
 
@@ -239,8 +247,15 @@ def _operator_norms(stacks, count):
     return out
 
 
+def refuse_non_finite(f):
+    """An SVD cannot judge a NaN or infinite entry: such maps are refused."""
+    if not np.isfinite(f.matrix).all():
+        raise NotFinite("the map has a non-finite entry")
+
+
 def is_involutive_svd(f, tol=DEFAULT_TOL):
     """is_involutive on the index formula, with an SVD of every image block."""
+    refuse_non_finite(f)
     thr = tol.eps_abs + tol.eps_rel * max(1.0, float(np.linalg.norm(f.matrix, 2)))
     m = f.matrix
     diff = m[:, _unit_index(f.dom)] - m.conj()[_unit_index(f.cod), :]
@@ -249,6 +264,7 @@ def is_involutive_svd(f, tol=DEFAULT_TOL):
 
 def is_multiplicative_svd(f, tol=DEFAULT_TOL):
     """is_multiplicative one domain row at a time, with an SVD of every block."""
+    refuse_non_finite(f)
     thr = tol.eps_abs + tol.eps_rel * max(1.0, float(np.linalg.norm(f.matrix, 2)) ** 2)
     images = _image_blocks(f.cod, f.matrix)
     for off, n in zip(f.dom.offsets, f.dom.dims):
@@ -283,3 +299,38 @@ def sqrt(a, tol=DEFAULT_TOL):
             raise ValueError(f"negative eigenvalue {lam.real}")
         return np.sqrt(max(lam.real, 0.0))
     return functional_calculus(a, f, tol)
+
+
+# ---------------------------------------------------------------------------
+# eigensolver inputs as spelled before the one Hermitian eigensolver path:
+# symmetrize(a), i.e. 0.5 * (x + x*), and twice over in functional calculus
+
+def is_positive_symmetrized(a, tol=DEFAULT_TOL):
+    if not a.blocks:
+        return True
+    if not lib_is_self_adjoint(a, tol):
+        return False
+    mins = [float(np.linalg.eigvalsh(b).min(initial=np.inf)) for b in symmetrize(a).blocks]
+    return all(m >= -tol.eps_rel for m in mins) or \
+        all(m >= -tol.eps_rel * max(1.0, operator_norm(a)) for m in mins)
+
+
+def spectral_projection_symmetrized(a, predicate):
+    blocks = []
+    for b in symmetrize(a).blocks:
+        vals, vecs = np.linalg.eigh(b)
+        keep = np.array([bool(predicate(float(v))) for v in vals])
+        v1 = vecs[:, keep]
+        blocks.append(v1 @ v1.conj().T)
+    return a.algebra.element(blocks)
+
+
+def functional_calculus_symmetrized(a, f, tol=DEFAULT_TOL):
+    if not lib_is_normal(a, tol):
+        raise NotNormal("functional calculus needs a normal element")
+    hermitian = lib_is_self_adjoint(a, tol)
+    high = tol.snap_eps * max(1.0, float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
+    src = symmetrize(a) if hermitian else a
+    return a.algebra.element(_apply_block(b, f, lambda d: d <= tol.snap_eps or (
+        d <= high and d <= tol.snap_eps * max(1.0, operator_norm(a))), hermitian)
+        for b in src.blocks)

@@ -16,8 +16,8 @@ from vnalg import (Verdict, adjoint, apply, carrier, central_carrier, choi_block
                    operator_norm, orthosupplement, range_projection,
                    snap_projection, trace, trace_functional,
                    transpose_map, vector_functional)
-from vnalg.errors import NotPositive, ShapeMismatch
-from vnalg.maps import (block_projection, cp_from_kraus,
+from vnalg.errors import NotFinite, NotPositive, ShapeMismatch
+from vnalg.maps import (LinMap, block_projection, cp_from_kraus,
                         random_cp_map, random_cpu_map, random_state,
                         scalar_value, zero_map, are_contraposed, are_equivalent)
 from vnalg.projections import projection_family
@@ -399,3 +399,26 @@ def test_kraus_assembly_between_different_algebras():
     assert is_completely_positive(f)
     a = random_element(M2, rng)
     assert equal(apply(f, a), M3.element([k.conj().T @ a.blocks[0] @ k]))
+
+
+def _poisoned(kind, value):
+    """The identity on M2 with entry [1, 2] set, or a CP map on M2+M1 with [4, 0] set."""
+    if kind == "identity":
+        m, alg, at = np.eye(4, dtype=complex), M2, (1, 2)
+    else:
+        alg, at = make_algebra([2, 1]), (4, 0)
+        m = np.array(random_cp_map(alg, alg, np.random.default_rng(3)).matrix)
+    m[at] = value
+    return LinMap(alg, alg, m)
+
+
+@pytest.mark.parametrize("predicate", [is_involutive, is_multiplicative,
+                                       is_completely_positive, min_choi_eigenvalue])
+@pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("kind", ["identity", "cp"])
+def test_non_finite_maps_raise_not_finite_before_lapack(predicate, value, kind, capfd):
+    # Unchecked, an SVD of such a block gives NaN norms that compare false, or
+    # LAPACK prints to stderr and numpy raises LinAlgError.
+    with pytest.raises(NotFinite):
+        predicate(_poisoned(kind, value))
+    assert capfd.readouterr().err == ""

@@ -314,3 +314,21 @@ def test_certify_projection():
 def test_join_requires_projections():
     with pytest.raises(NotProjection):
         join([M2.element([np.diag([0.5, 0.0])])])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_support_has_the_rank_of_rank_profile(seed):
+    # support reads its rank off the singular values of its own SVD, with
+    # rank_profile's rule; singular values near the snap_eps cut and under the
+    # eps_abs zero floor probe that rule.
+    rng = np.random.default_rng(seed)
+    alg = make_algebra([1, 2, 3, 4])
+    for _ in range(25):
+        blocks = []
+        for n in alg.dims:
+            u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+                    for _ in range(2))
+            s = rng.choice([1.0, 0.3, 0.0, 1e-8, 1e-6, 1e-13], size=n)
+            blocks.append(rng.choice([1.0, 1e-13, 1e8]) * (u * s) @ v)
+        a = alg.element(blocks)
+        assert rank_profile(support(a)) == rank_profile(a)
