@@ -344,3 +344,43 @@ def test_element_commands_golden_bytes(name, argv, payload):
     code, out = run_cli(argv, (CLI_GOLDEN / f"{payload}.in.json").read_text())
     assert code == 0
     assert out == (CLI_GOLDEN / f"{name}.out.json").read_text()
+
+
+@pytest.mark.parametrize("name, argv, payload", [
+    ("spectrum_element", ["spectrum"], "element_2+1"),
+    ("spectrum_effect", ["spectrum"], "effect_2+1"),
+    ("ceil_effect", ["ceil"], "effect_2+1"),
+    ("ceil_effect_rank2", ["ceil"], "effect_rank2_3"),
+    ("floor_effect", ["floor"], "effect_2+1"),
+    ("floor_effect_rank2", ["floor"], "effect_rank2_3"),
+    ("support_element", ["support"], "element_2+1"),
+    ("support_rankone", ["support"], "rankone_2+1"),
+    ("range_rankone", ["range"], "rankone_2+1"),
+    ("csupport_rankone", ["csupport"], "rankone_2+1"),
+    ("csupport_element", ["csupport"], "element_2+1"),
+    ("polar_element", ["polar"], "element_2+1"),
+    ("polar_rankone", ["polar"], "rankone_2+1"),
+    ("divide_pair", ["divide"], "pair_3"),
+    ("divide_left_pair", ["divide", "--left"], "pair_3"),
+    ("seqquot_pair", ["seqquot"], "quot_2+1"),
+    ("seqprod_effects", ["seqprod"], "effects_2+1"),
+    ("tensor_2_2+1", ["tensor", "--algebras", "2:2,1"], None),
+    ("tensor_el_pair", ["tensor-el"], "tensor_pair"),
+    ("filter_effect", ["filter"], "effect_2+1"),
+    ("filter_effect_rank2", ["filter"], "effect_rank2_3"),
+    ("purity_cp", ["purity"], "cp_2_2+1"),
+    ("purity_conj_rank2", ["purity"], "conj_rank2_3"),
+    ("purity_conj_unitary", ["purity"], "conj_unitary_2"),
+    ("wedderburn_2+1_in_3", ["wedderburn", "--seed", "4"], "subalgebra_2+1_in_3"),
+    ("gelfand_diagonal", ["gelfand", "--seed", "4"], "diagonal_in_3"),
+    ("gns_state", ["gns"], "state_2+1"),
+] + [(f"gen_{kind}", ["gen", "--kind", kind, "--algebra", "2,1", "--seed", "11",
+                      "--count", "2"], None)
+     for kind in ["effect", "projection", "element", "state", "cpmap"]])
+def test_remaining_commands_golden_bytes(name, argv, payload):
+    # Every subcommand's stdout is pinned: the gen rows pin the samplers, the
+    # rest the handlers and the library calls beneath them.
+    stdin = (CLI_GOLDEN / f"{payload}.in.json").read_text() if payload else ""
+    code, out = run_cli(argv, stdin)
+    assert code == 0
+    assert out == (CLI_GOLDEN / f"{name}.out.json").read_text()
