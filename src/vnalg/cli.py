@@ -16,22 +16,20 @@ from . import jsonio
 from .algebra import (DEFAULT_TOL, ToleranceConfig, make_algebra)
 from .division import divide, douglas_lambda, left_divide, polar, pseudoinverse, seq_quotient
 from .errors import VnalgError
-from .maps import (carrier, choi_blocks, is_completely_positive,
+from .maps import (carrier, choi_blocks, functional_from_density, is_completely_positive,
                    is_involutive, is_miu, is_multiplicative, is_subunital,
-                   is_unital, min_choi_eigenvalue)
+                   is_unital, min_choi_eigenvalue, random_cp_map)
 from .measurement import (bracket, check_axioms, is_pure, named_op, seq_product,
                           standard_corner, standard_filter)
 from .projections import (ceiling, central_support, floor, join, meet,
                           range_projection, support)
-from .sampling import (random_effect, random_element, random_projection)
+from .sampling import random_density, random_effect, random_element, random_projection
 from .spectral import absolute, functional_calculus, named_function, spectrum, sqrt
 from .structure import gelfand_finite, gns, star_subalgebra, wedderburn
 from .suite import run_suite
 from .tensor import (classical_points, classical_reflection, classical_unit,
                      duplicability_witness, duplicator, is_duplicable,
                      tensor_algebra, tensor_elements)
-from .maps import random_cp_map, functional_from_density
-from .sampling import random_density
 
 
 def _tolerance(args) -> ToleranceConfig:
@@ -54,7 +52,10 @@ def _read_payload(args):
 
 
 def _emit(args, obj) -> None:
-    text = jsonio.dumps(obj)
+    _write(args, jsonio.dumps(obj))
+
+
+def _write(args, text: str) -> None:
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -78,11 +79,17 @@ def cmd_spectrum(args):
                                for blk in sp.per_block]})
 
 
-def _elements(payload) -> list:
-    elements = payload["elements"]
+def _elements(payload, key="elements") -> list:
+    elements = payload[key]
     if not isinstance(elements, list):
-        raise ValueError("'elements' must be a JSON list")
+        raise ValueError(f"'{key}' must be a JSON list")
     return [jsonio.element_from_json(e) for e in elements]
+
+
+def _operands(args, *keys) -> list:
+    """The elements under ``keys`` of the payload object."""
+    payload = _read_payload(args)
+    return [jsonio.element_from_json(payload[key]) for key in keys]
 
 
 def _element_cmd(fn, read=jsonio.element_from_json):
@@ -108,9 +115,7 @@ def cmd_polar(args):
 
 def cmd_divide(args):
     tol = _tolerance(args)
-    payload = _read_payload(args)
-    a = jsonio.element_from_json(payload["a"])
-    b = jsonio.element_from_json(payload["b"])
+    a, b = _operands(args, "a", "b")
     if args.left:
         q = left_divide(b, a, tol)
         lam = None
@@ -125,9 +130,7 @@ def cmd_divide(args):
 
 def cmd_seqquot(args):
     tol = _tolerance(args)
-    payload = _read_payload(args)
-    a = jsonio.element_from_json(payload["a"])
-    b = jsonio.element_from_json(payload["b"])
+    a, b = _operands(args, "a", "b")
     _emit(args, jsonio.element_to_json(seq_quotient(a, b, tol)))
 
 
@@ -155,8 +158,7 @@ def cmd_choi(args):
         blocks.append({"domain_block_index": cb.domain_block_index,
                        "matrix": [[_complex_pair(v) for v in row]
                                   for row in cb.matrix]})
-    _emit(args, {"blocks": blocks,
-                 "min_eigenvalue": min_choi_eigenvalue(f, _tolerance(args))})
+    _emit(args, {"blocks": blocks, "min_eigenvalue": min_choi_eigenvalue(f)})
 
 
 def cmd_corner(args):
@@ -186,9 +188,7 @@ def cmd_purity(args):
 
 def cmd_seqprod(args):
     tol = _tolerance(args)
-    payload = _read_payload(args)
-    p = jsonio.element_from_json(payload["p"])
-    q = jsonio.element_from_json(payload["q"])
+    p, q = _operands(args, "p", "q")
     _emit(args, jsonio.element_to_json(seq_product(p, q, tol)))
 
 
@@ -229,9 +229,7 @@ def cmd_tensor(args):
 
 
 def cmd_tensor_el(args):
-    payload = _read_payload(args)
-    a = jsonio.element_from_json(payload["left"])
-    b = jsonio.element_from_json(payload["right"])
+    a, b = _operands(args, "left", "right")
     ts = tensor_algebra(a.algebra, b.algebra)
     _emit(args, jsonio.element_to_json(tensor_elements(ts, a, b)))
 
@@ -261,8 +259,7 @@ def cmd_bang(args):
 
 def _subalgebra_from_json(payload, tol):
     ambient = jsonio.algebra_from_json(payload["ambient"])
-    basis = [jsonio.element_from_json(e) for e in payload["basis"]]
-    return star_subalgebra(ambient, basis, tol)
+    return star_subalgebra(ambient, _elements(payload, "basis"), tol)
 
 
 def cmd_wedderburn(args):
@@ -284,13 +281,7 @@ def cmd_gelfand(args):
 
 def cmd_gns(args):
     tol = _tolerance(args)
-    if args.state:
-        with open(args.state, "r", encoding="utf-8") as fh:
-            payload = jsonio.loads(fh.read())
-    else:
-        payload = _read_payload(args)
-    omega = jsonio.map_from_json(payload)
-    res = gns(omega, tol)
+    res = gns(jsonio.map_from_json(_read_payload(args)), tol)
     _emit(args, {"hilbert_dim": res.hilbert_dim,
                  "rep": jsonio.map_to_json(res.rep),
                  "eta": [[_complex_pair(v) for v in row] for row in res.eta]})
@@ -300,12 +291,13 @@ def cmd_verify_suite(args):
     results = run_suite(args.level)
     width = max(len(name) for name, _, _ in results)
     failed = 0
+    text = ""
     for name, ok, detail in results:
         status = "pass" if ok else "FAIL"
-        sys.stdout.write(f"{name:<{width}}  {status:4}  {detail}\n")
+        text += f"{name:<{width}}  {status:4}  {detail}\n"
         failed += 0 if ok else 1
-    sys.stdout.write(f"{'-' * width}\n{len(results) - failed}/{len(results)} "
-                     f"checks passed at level {args.level}\n")
+    _write(args, text + f"{'-' * width}\n{len(results) - failed}/{len(results)} "
+                        f"checks passed at level {args.level}\n")
     return 3 if failed else 0
 
 
@@ -325,116 +317,109 @@ def cmd_gen(args):
                 functional_from_density(random_density(algebra, rng))))
         elif args.kind == "cpmap":
             out.append(jsonio.map_to_json(random_cp_map(algebra, algebra, rng)))
-        else:
-            raise ValueError(f"unknown kind {args.kind!r}")
     _emit(args, out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vnalg",
         description="Computations in finite direct sums of matrix algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--in", dest="infile", default=None, metavar="FILE")
+    def command(name, fn, payload=True, seed=False, tol=True):
+        """A subcommand with only the common options its handler reads."""
+        p = sub.add_parser(name)
+        if payload:
+            p.add_argument("--in", dest="infile", default=None, metavar="FILE")
         p.add_argument("--out", dest="outfile", default=None, metavar="FILE")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the relative tolerance")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the relative tolerance")
+        p.set_defaults(fn=fn)
         return p
 
-    common(sub.add_parser("spectrum")).set_defaults(fn=cmd_spectrum)
-    p = common(sub.add_parser("sqrt"))
-    p.add_argument("--f", dest="fname", default=None,
-                   help="named function: sqrt, abs, pospart, negpart, pow:A, exp-phase")
-    p.set_defaults(fn=_element_cmd(sqrt))
-    p = common(sub.add_parser("abs"))
-    p.add_argument("--f", dest="fname", default=None)
-    p.set_defaults(fn=_element_cmd(absolute))
+    command("spectrum", cmd_spectrum)
+    command("sqrt", _element_cmd(sqrt)).add_argument(
+        "--f", dest="fname", default=None,
+        help="named function: sqrt, abs, pospart, negpart, pow:A, exp-phase")
+    command("abs", _element_cmd(absolute)).add_argument("--f", dest="fname", default=None)
 
-    common(sub.add_parser("ceil")).set_defaults(fn=_element_cmd(ceiling))
-    common(sub.add_parser("floor")).set_defaults(fn=_element_cmd(floor))
-    common(sub.add_parser("support")).set_defaults(fn=_element_cmd(support))
-    common(sub.add_parser("range")).set_defaults(fn=_element_cmd(range_projection))
-    common(sub.add_parser("join")).set_defaults(fn=_element_cmd(join, _elements))
-    common(sub.add_parser("meet")).set_defaults(fn=_element_cmd(meet, _elements))
-    common(sub.add_parser("csupport")).set_defaults(fn=_element_cmd(central_support))
+    command("ceil", _element_cmd(ceiling))
+    command("floor", _element_cmd(floor))
+    command("support", _element_cmd(support))
+    command("range", _element_cmd(range_projection))
+    command("join", _element_cmd(join, _elements))
+    command("meet", _element_cmd(meet, _elements))
+    command("csupport", _element_cmd(central_support))
 
-    common(sub.add_parser("polar")).set_defaults(fn=cmd_polar)
-    common(sub.add_parser("pinv")).set_defaults(fn=_element_cmd(pseudoinverse))
-    p = common(sub.add_parser("divide"))
-    group = p.add_mutually_exclusive_group()
+    command("polar", cmd_polar)
+    command("pinv", _element_cmd(pseudoinverse))
+    group = command("divide", cmd_divide).add_mutually_exclusive_group()
     group.add_argument("--left", action="store_true",
                        help="left division: the c with b·c = a")
     group.add_argument("--right", action="store_true",
                        help="right division, the default: the c with c·b = a")
-    p.set_defaults(fn=cmd_divide)
-    common(sub.add_parser("seqquot")).set_defaults(fn=cmd_seqquot)
+    command("seqquot", cmd_seqquot)
 
-    p = common(sub.add_parser("checkmap"))
+    p = command("checkmap", cmd_checkmap)
     p.add_argument("--cp", action="store_true")
     p.add_argument("--miu", action="store_true")
     p.add_argument("--carrier", action="store_true")
-    p.set_defaults(fn=cmd_checkmap)
-    common(sub.add_parser("choi")).set_defaults(fn=cmd_choi)
+    command("choi", cmd_choi, tol=False)
 
-    common(sub.add_parser("corner")).set_defaults(fn=cmd_corner)
-    common(sub.add_parser("filter")).set_defaults(fn=cmd_filter)
-    common(sub.add_parser("bracket")).set_defaults(fn=cmd_bracket)
-    common(sub.add_parser("purity")).set_defaults(fn=cmd_purity)
-    common(sub.add_parser("seqprod")).set_defaults(fn=cmd_seqprod)
+    command("corner", cmd_corner)
+    command("filter", cmd_filter)
+    command("bracket", cmd_bracket)
+    command("purity", cmd_purity)
+    command("seqprod", cmd_seqprod)
 
-    p = common(sub.add_parser("check-axioms"))
+    p = command("check-axioms", cmd_check_axioms, payload=False, seed=True)
     p.add_argument("--op", required=True,
                    choices=["std", "ceil", "floorsplit", "sign", "phase"])
     p.add_argument("--algebra", required=True,
                    help="comma separated block sizes, e.g. 2,3")
     p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(fn=cmd_check_axioms)
 
-    p = common(sub.add_parser("tensor"))
-    p.add_argument("--algebras", required=True,
-                   help="two dims lists separated by a colon, e.g. 2:2,3")
-    p.set_defaults(fn=cmd_tensor)
-    common(sub.add_parser("tensor-el")).set_defaults(fn=cmd_tensor_el)
-    p = common(sub.add_parser("dup-check"))
+    command("tensor", cmd_tensor, payload=False, tol=False).add_argument(
+        "--algebras", required=True,
+        help="two dims lists separated by a colon, e.g. 2:2,3")
+    command("tensor-el", cmd_tensor_el, tol=False)
+    p = command("dup-check", cmd_dup_check, payload=False, seed=True)
     p.add_argument("--algebra", required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(fn=cmd_dup_check)
-    p = common(sub.add_parser("bang"))
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(fn=cmd_bang)
+    command("bang", cmd_bang, payload=False, tol=False).add_argument(
+        "--algebra", required=True)
 
-    p = common(sub.add_parser("wedderburn"))
-    p.set_defaults(fn=cmd_wedderburn)
-    common(sub.add_parser("gelfand")).set_defaults(fn=cmd_gelfand)
-    p = common(sub.add_parser("gns"))
-    p.add_argument("--state", default=None, metavar="FILE")
-    p.set_defaults(fn=cmd_gns)
+    command("wedderburn", cmd_wedderburn, seed=True)
+    command("gelfand", cmd_gelfand, seed=True)
+    command("gns", cmd_gns)
 
-    p = common(sub.add_parser("verify-suite"))
-    p.add_argument("--level", choices=["smoke", "full"], default="smoke")
-    p.set_defaults(fn=cmd_verify_suite)
+    command("verify-suite", cmd_verify_suite, payload=False, tol=False).add_argument(
+        "--level", choices=["smoke", "full"], default="smoke")
 
-    p = common(sub.add_parser("gen"))
+    p = command("gen", cmd_gen, payload=False, seed=True, tol=False)
     p.add_argument("--kind", required=True,
                    choices=["effect", "projection", "element", "state", "cpmap"])
     p.add_argument("--algebra", required=True)
     p.add_argument("--count", type=int, default=1)
-    p.set_defaults(fn=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return int(args.fn(args) or 0)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        result = args.fn(args)
-        return int(result or 0)
     except VnalgError as exc:
         sys.stdout.write(jsonio.dumps(
             {"error": exc.name, "message": str(exc)}))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -197,14 +198,22 @@ def maps_equal(f: LinMap, g: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool
     return float(np.linalg.norm(f.matrix - g.matrix, 2)) <= tol.threshold(max(nf, ng))
 
 
+def _unit_image(f: LinMap) -> Element:
+    """f(1), or NotFinite: a non-finite entry of f reaches f(1), as 0 * inf is NaN."""
+    with np.errstate(invalid="ignore"):
+        one_img = apply(f, f.dom.unit())
+    _require_finite(one_img.coords())
+    return one_img
+
+
 def is_unital(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     one = f.cod.unit()
-    return _norm_gate(_diff_blocks(apply(f, f.dom.unit()).blocks, one.blocks),
+    return _norm_gate(_diff_blocks(_unit_image(f).blocks, one.blocks),
                       tol.threshold(), lambda: tol.threshold(operator_norm(one)))
 
 
 def is_subunital(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return is_positive(orthosupplement(apply(f, f.dom.unit())), tol)
+    return is_positive(orthosupplement(_unit_image(f)), tol)
 
 
 def _image_blocks(cod: FdAlgebra, cols: np.ndarray) -> list[np.ndarray]:
@@ -352,19 +361,8 @@ def is_positive_map(f: LinMap, samples: int = 200, seed: int = 0,
     """
     if is_completely_positive(f, tol):
         return PositivityReport(Verdict.PROVEN_CP)
-    if not is_involutive(f, tol):
-        # Positive maps preserve the involution, so the verdict is already
-        # decided; the loop only looks for a concrete witness.
-        hermitian = [symmetrize(e) for e in f.dom.basis()]
-        candidates = _structured_positives(f.dom) + [mul(h, h) for h in hermitian]
-        return PositivityReport(Verdict.NOT_POSITIVE, next(
-            (a for a in candidates if not is_positive(apply(f, a), tol)), None))
-    if f.dom.is_commutative():
-        for a in _structured_positives(f.dom):
-            if not is_positive(apply(f, a), tol):
-                return PositivityReport(Verdict.NOT_POSITIVE, a)
-        return PositivityReport(Verdict.PROVEN_CP)
-    if f.cod.is_commutative():
+    involutive = is_involutive(f, tol)
+    if involutive and not f.dom.is_commutative() and f.cod.is_commutative():
         for y in range(f.cod.num_blocks):
             omega = compose(block_projection(f.cod, y), f)
             rho = density(omega)
@@ -372,15 +370,21 @@ def is_positive_map(f: LinMap, samples: int = 200, seed: int = 0,
                 return PositivityReport(Verdict.NOT_POSITIVE,
                                         _negative_direction_witness(rho, tol))
         return PositivityReport(Verdict.PROVEN_CP)
-    for a in _structured_positives(f.dom):
-        if not is_positive(apply(f, a), tol):
-            return PositivityReport(Verdict.NOT_POSITIVE, a)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        a = sampling.random_rank_one_positive(f.dom, rng)
-        if not is_positive(apply(f, a), tol):
-            return PositivityReport(Verdict.NOT_POSITIVE, a)
-    return PositivityReport(Verdict.LIKELY_POSITIVE)
+    if not involutive:
+        # Positive maps preserve the involution, so the verdict is already
+        # decided; the search only looks for a concrete witness.
+        more = (mul(h, h) for h in map(symmetrize, f.dom.basis()))
+    elif f.dom.is_commutative():
+        more = ()
+    else:
+        rng = np.random.default_rng(seed)
+        more = (sampling.random_rank_one_positive(f.dom, rng) for _ in range(samples))
+    witness = next((a for a in itertools.chain(_structured_positives(f.dom), more)
+                    if not is_positive(apply(f, a), tol)), None)
+    if witness is not None or not involutive:
+        return PositivityReport(Verdict.NOT_POSITIVE, witness)
+    return PositivityReport(Verdict.PROVEN_CP if f.dom.is_commutative()
+                            else Verdict.LIKELY_POSITIVE)
 
 
 def _negative_direction_witness(rho: Element,
@@ -466,13 +470,13 @@ def cp_from_kraus(dom: FdAlgebra, cod: FdAlgebra,
 
 
 def random_cp_map(dom: FdAlgebra, cod: FdAlgebra, rng: np.random.Generator,
-                  terms: int = 2, scale: float = 1.0) -> LinMap:
+                  terms: int = 2) -> LinMap:
     ops = []
     for i, n in enumerate(dom.dims):
         for l, m in enumerate(cod.dims):
             for _ in range(terms):
                 k = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-                ops.append((i, l, scale * k / np.sqrt(n * m * terms)))
+                ops.append((i, l, k / np.sqrt(n * m * terms)))
     return cp_from_kraus(dom, cod, ops)
 
 

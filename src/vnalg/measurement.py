@@ -22,10 +22,10 @@ from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, _
                       operator_norm, orthosupplement, symmetrize)
 from .errors import (CarrierViolated, FilterBoundViolated, NotEffect,
                      NotPositive, PostconditionViolated, ShapeMismatch)
-from .maps import (LinMap, _sandwich_matrix, apply, carrier, compose, conjugation_map,
-                   density, diamond_bwd, diamond_fwd, is_completely_positive,
-                   is_unital, make_map, maps_equal, mult_map, trace_functional)
-from .projections import ceiling, certify_projection, floor, projection_family
+from .maps import (LinMap, _sandwich_matrix, apply, are_contraposed, carrier, compose,
+                   conjugation_map, density, is_completely_positive, is_unital, make_map,
+                   maps_equal, mult_map, trace_functional)
+from .projections import ceiling, certify_projection, floor
 from .division import pseudoinverse
 from .sampling import random_effect, random_projection
 from .spectral import _exp_phase, functional_calculus, sqrt
@@ -145,14 +145,20 @@ def factor_through_corner(f: LinMap, e: Element,
     return compose(f, ctx.embed)
 
 
-def bracket(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
-    """The unital faithful middle map of f between its carrier corner and
-    the corner of f(1): f factors as filter o bracket o corner."""
+def _unit_corners(f: LinMap, tol: ToleranceConfig):
+    """f(1), its Hermitian part, and the corners of the carrier of f and of
+    the ceiling of f(1); the carrier is computed first."""
     car = carrier(f, tol)
     one_img = apply(f, f.dom.unit())
     one_sym = symmetrize(one_img)
-    dom_ctx = corner_algebra(car, tol)
-    cod_ctx = corner_algebra(ceiling(one_sym, tol), tol)
+    return (one_img, one_sym, corner_algebra(car, tol),
+            corner_algebra(ceiling(one_sym, tol), tol))
+
+
+def bracket(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
+    """The unital faithful middle map of f between its carrier corner and
+    the corner of f(1): f factors as filter o bracket o corner."""
+    _, one_sym, dom_ctx, cod_ctx = _unit_corners(f, tol)
     root = sqrt(one_sym, tol)
     pinv_root = pseudoinverse(root, tol)
     images = []
@@ -198,11 +204,7 @@ def chevron(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     """
     if f.dom != f.cod:
         raise ShapeMismatch("chevron needs an endomap")
-    car = carrier(f, tol)
-    one_img = apply(f, f.dom.unit())
-    one_sym = symmetrize(one_img)
-    dom_ctx = corner_algebra(car, tol)
-    cod_ctx = corner_algebra(ceiling(one_sym, tol), tol)
+    one_img, _, dom_ctx, cod_ctx = _unit_corners(f, tol)
     out = compose(cod_ctx.compress, compose(f, dom_ctx.embed))
     if out.dom.dim:
         check = ToleranceConfig(1e-6, 1e-9, max(tol.snap_eps, 1e-6))
@@ -213,19 +215,12 @@ def chevron(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     return out
 
 
-def _diamond_match(f: LinMap, seed: int, tol: ToleranceConfig) -> bool:
-    for e in projection_family(f.dom, seed=seed, tol=tol):
-        if not equal(diamond_fwd(f, e, tol), diamond_bwd(f, e, tol), tol):
-            return False
-    return True
-
-
 def is_diamond_self_adjoint(f: LinMap, seed: int = 0,
                             tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Pure and contraposed to itself on a spanning projection family."""
     if f.dom != f.cod:
         raise ShapeMismatch("needs an endomap")
-    return is_pure(f, tol) and _diamond_match(f, seed, tol)
+    return is_pure(f, tol) and are_contraposed(f, f, seed, tol)
 
 
 def is_diamond_positive(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -256,15 +251,13 @@ class BinOpSpec:
     """A candidate binary operation on effects, with optional metadata.
 
     ``d_witness`` maps p to a claimed q with op(q, q) = p; the axiom-D
-    check runs only against such supplied witnesses.  ``params`` carries
-    the scalar function or conjugator family the operation is built from.
+    check runs only against such supplied witnesses.
     """
 
     name: str
     eval: Callable[[Element, Element], Element]
     d_witness: Optional[Callable[[Element], Element]] = None
     target_axiom: Optional[str] = None
-    params: Optional[dict] = None
 
 
 def standard_op(tol: ToleranceConfig = DEFAULT_TOL) -> BinOpSpec:
@@ -314,11 +307,9 @@ def counterexample_ops(algebra: FdAlgebra,
         BinOpSpec("floorsplit", op_floorsplit,
                   d_witness=lambda p: sqrt(p, tol), target_axiom="B"),
         BinOpSpec("sign", conjugated_product(_sign_above_half),
-                  d_witness=lambda p: sqrt(p, tol), target_axiom="C",
-                  params={"g": _sign_above_half}),
+                  d_witness=lambda p: sqrt(p, tol), target_axiom="C"),
         BinOpSpec("phase", conjugated_product(_exp_phase),
-                  d_witness=lambda p: sqrt(p, tol), target_axiom="E",
-                  params={"g": _exp_phase}),
+                  d_witness=lambda p: sqrt(p, tol), target_axiom="E"),
     ]
 
 

@@ -53,34 +53,29 @@ def is_projection(p: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         lambda: tol.threshold(operator_norm(p)))
 
 
-def _snap_block(b: np.ndarray, snap: float) -> tuple[np.ndarray, bool]:
-    vals, vecs = _eigh(b)
-    keep = vals >= 0.5
-    if np.any((vals > snap) & (vals < 1.0 - snap)):
-        raise NotProjection("eigenvalues too far from {0,1} to snap")
-    snapped = bool(np.any(np.abs(vals - keep.astype(float)) > 1e-15))
-    v1 = vecs[:, keep]
-    return v1 @ v1.conj().T, snapped
+def _snap(p: Element, snap: float) -> ProjectionCertificate:
+    """p with each block's eigenvalues rounded to {0,1}, and whether any moved."""
+    blocks, snapped = [], False
+    for b in p.blocks:
+        vals, vecs = _eigh(b)
+        keep = vals >= 0.5
+        if np.any((vals > snap) & (vals < 1.0 - snap)):
+            raise NotProjection("eigenvalues too far from {0,1} to snap")
+        snapped = snapped or bool(np.any(np.abs(vals - keep.astype(float)) > 1e-15))
+        v1 = vecs[:, keep]
+        blocks.append(v1 @ v1.conj().T)
+    return ProjectionCertificate(p.algebra.element(blocks), snapped)
 
 
 def snap_projection(p: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Round eigenvalues to {0,1} (within snap_eps) and rebuild."""
-    blocks = [_snap_block(b, tol.snap_eps)[0] for b in p.blocks]
-    return p.algebra.element(blocks)
+    return _snap(p, tol.snap_eps).element
 
 
-def certify_projection(p: Element, tol: ToleranceConfig = DEFAULT_TOL,
-                       snap: bool = True) -> ProjectionCertificate:
+def certify_projection(p: Element, tol: ToleranceConfig = DEFAULT_TOL) -> ProjectionCertificate:
     if not is_projection(p, tol):
         raise NotProjection("not a projection within tolerance")
-    if not snap:
-        return ProjectionCertificate(p, False)
-    out, did = [], False
-    for b in p.blocks:
-        nb, s = _snap_block(b, tol.snap_eps)
-        out.append(nb)
-        did = did or s
-    return ProjectionCertificate(p.algebra.element(out), did)
+    return _snap(p, tol.snap_eps)
 
 
 def _spectral_projection(a: Element, predicate) -> Element:

@@ -16,24 +16,21 @@ def _ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarr
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
-def random_element(algebra: FdAlgebra, rng: np.random.Generator,
-                   scale: float = 1.0) -> Element:
-    return algebra.element(scale * _ginibre(rng, n) for n in algebra.dims)
+def random_element(algebra: FdAlgebra, rng: np.random.Generator) -> Element:
+    return algebra.element(_ginibre(rng, n) for n in algebra.dims)
 
 
-def random_self_adjoint(algebra: FdAlgebra, rng: np.random.Generator,
-                        scale: float = 1.0) -> Element:
+def random_self_adjoint(algebra: FdAlgebra, rng: np.random.Generator) -> Element:
     blocks = []
     for n in algebra.dims:
         g = _ginibre(rng, n)
-        blocks.append(scale * (g + g.conj().T) / 2)
+        blocks.append((g + g.conj().T) / 2)
     return algebra.element(blocks)
 
 
-def random_positive(algebra: FdAlgebra, rng: np.random.Generator,
-                    scale: float = 1.0) -> Element:
+def random_positive(algebra: FdAlgebra, rng: np.random.Generator) -> Element:
     a = random_element(algebra, rng)
-    return scale * mul(adjoint(a), a)
+    return mul(adjoint(a), a)
 
 
 def random_unitary_block(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -68,10 +65,9 @@ def random_projection(algebra: FdAlgebra, rng: np.random.Generator,
     return algebra.element(blocks)
 
 
-def random_rank_one_positive(algebra: FdAlgebra, rng: np.random.Generator,
-                             block: int | None = None) -> Element:
-    """v v* supported in a single block (a random one when unspecified)."""
-    i = int(rng.integers(0, algebra.num_blocks)) if block is None else block
+def random_rank_one_positive(algebra: FdAlgebra, rng: np.random.Generator) -> Element:
+    """v v* supported in a random single block."""
+    i = int(rng.integers(0, algebra.num_blocks))
     v = _ginibre(rng, algebra.dims[i], 1)
     v /= np.linalg.norm(v)
     return algebra._block_element(i, v @ v.conj().T)

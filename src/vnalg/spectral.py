@@ -85,8 +85,6 @@ def _cluster(vals: np.ndarray, near: Callable[[float], bool]) -> list[list[int]]
 
 def _apply_block(b: np.ndarray, f: Callable[[complex], complex],
                  near: Callable[[float], bool], hermitian: bool) -> np.ndarray:
-    if b.size == 0:
-        return b
     if hermitian:
         vals, vecs = _eigh(b)
         vals = vals.astype(complex)
@@ -146,36 +144,7 @@ def sqrt(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     return root
 
 
-def power(a: Element, alpha: float, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
-    """a**alpha for positive a and alpha > 0, clipping eigenvalue noise at 0."""
-    if not is_positive(a, tol):
-        raise NotPositive("power needs a positive element")
-    return functional_calculus(a, lambda lam: max(lam.real, 0.0) ** alpha, tol)
-
-
-def _require_self_adjoint(a: Element, tol: ToleranceConfig):
-    if not is_self_adjoint(a, tol):
-        raise NotSelfAdjoint("operation needs a self-adjoint element")
-
-
-def absolute(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
-    """|a| = sqrt(a*a) for self-adjoint a."""
-    _require_self_adjoint(a, tol)
-    return functional_calculus(symmetrize(a), lambda lam: abs(lam.real), tol)
-
-
-def pos_part(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
-    _require_self_adjoint(a, tol)
-    return functional_calculus(symmetrize(a), lambda lam: max(lam.real, 0.0), tol)
-
-
-def neg_part(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
-    _require_self_adjoint(a, tol)
-    return functional_calculus(symmetrize(a), lambda lam: max(-lam.real, 0.0), tol)
-
-
-def _named_pow(spec: str) -> Callable[[complex], complex]:
-    alpha = float(spec.split(":", 1)[1])
+def _pow(alpha: float) -> Callable[[complex], complex]:
     return lambda lam: max(lam.real, 0.0) ** alpha
 
 
@@ -187,6 +156,42 @@ def _exp_phase(lam: complex) -> complex:
     return np.exp(1j * np.log(x))
 
 
+_NAMED: dict[str, Callable[[complex], complex]] = {
+    "sqrt": lambda lam: np.sqrt(max(lam.real, 0.0)),
+    "abs": lambda lam: abs(lam.real),
+    "pospart": lambda lam: max(lam.real, 0.0),
+    "negpart": lambda lam: max(-lam.real, 0.0),
+    "exp-phase": _exp_phase,
+}
+
+
+def power(a: Element, alpha: float, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
+    """a**alpha for positive a and alpha > 0, clipping eigenvalue noise at 0."""
+    if not is_positive(a, tol):
+        raise NotPositive("power needs a positive element")
+    return functional_calculus(a, _pow(alpha), tol)
+
+
+def _self_adjoint_calculus(a: Element, name: str, tol: ToleranceConfig) -> Element:
+    """The named function of self-adjoint a, applied to its Hermitian part."""
+    if not is_self_adjoint(a, tol):
+        raise NotSelfAdjoint("operation needs a self-adjoint element")
+    return functional_calculus(symmetrize(a), _NAMED[name], tol)
+
+
+def absolute(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
+    """|a| = sqrt(a*a) for self-adjoint a."""
+    return _self_adjoint_calculus(a, "abs", tol)
+
+
+def pos_part(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
+    return _self_adjoint_calculus(a, "pospart", tol)
+
+
+def neg_part(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
+    return _self_adjoint_calculus(a, "negpart", tol)
+
+
 def named_function(name: str) -> Callable[[complex], complex]:
     """Resolve a scalar function by CLI name.
 
@@ -194,17 +199,10 @@ def named_function(name: str) -> Callable[[complex], complex]:
     ``exp-phase``.
     """
     if name.startswith("pow:"):
-        return _named_pow(name)
-    table: dict[str, Callable[[complex], complex]] = {
-        "sqrt": lambda lam: np.sqrt(max(lam.real, 0.0)),
-        "abs": lambda lam: abs(lam.real),
-        "pospart": lambda lam: max(lam.real, 0.0),
-        "negpart": lambda lam: max(-lam.real, 0.0),
-        "exp-phase": _exp_phase,
-    }
-    if name not in table:
+        return _pow(float(name.split(":", 1)[1]))
+    if name not in _NAMED:
         raise KeyError(f"unknown function name {name!r}")
-    return table[name]
+    return _NAMED[name]
 
 
 def sqrt_iterative(a: Element, iterations: int = 200,

@@ -40,17 +40,21 @@ class StarSubalgebra:
         return np.array([hs_inner(b, a) for b in self.basis])
 
     def project(self, a: Element) -> Element:
-        coeffs = self.project_coords(a)
-        out = self.ambient.zero()
-        for c, b in zip(coeffs, self.basis):
-            out = add(out, c * b)
-        return out
+        return _combination(self.ambient, self.project_coords(a), self.basis)
 
     def contains(self, a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         resid = a - self.project(a)
         # the usual threshold, widened 1000 times
         scale = max(1.0, operator_norm(a))
         return operator_norm(resid) <= tol.eps_abs + 1e3 * tol.eps_rel * scale
+
+
+def _combination(ambient: FdAlgebra, coeffs, elements) -> Element:
+    """sum_k coeffs[k] elements[k], added left to right onto zero."""
+    out = ambient.zero()
+    for c, b in zip(coeffs, elements):
+        out = add(out, c * b)
+    return out
 
 
 def _orthonormalize(ambient: FdAlgebra, vectors: list[np.ndarray],
@@ -144,17 +148,10 @@ def _sub_centre_basis(sub: StarSubalgebra, tol: ToleranceConfig) -> list[Element
     stacked = np.vstack(rows)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     null_dim = k - int(np.sum(svals > tol.snap_radius(float(svals[0]))))
-    out = []
-    for row in vh[k - null_dim:].conj():
-        el = sub.ambient.zero()
-        for c, b in zip(row, sub.basis):
-            el = add(el, c * b)
-        out.append(el)
-    return out
+    return [_combination(sub.ambient, row, sub.basis) for row in vh[k - null_dim:].conj()]
 
 
-def _spectral_projections_in_sub(a: Element, sub: StarSubalgebra,
-                                 tol: ToleranceConfig) -> list[Element]:
+def _spectral_projections_in_sub(a: Element, tol: ToleranceConfig) -> list[Element]:
     """Spectral projections of a self-adjoint element, grouped by clustered
     eigenvalues; each is a limit of polynomials in a, hence in the algebra."""
     sp = spectrum(a, tol)
@@ -169,11 +166,7 @@ def _spectral_projections_in_sub(a: Element, sub: StarSubalgebra,
 
 def _random_self_adjoint_in(sub: StarSubalgebra, rng: np.random.Generator,
                             within: list[Element]) -> Element:
-    coeffs = rng.standard_normal(len(within))
-    el = sub.ambient.zero()
-    for c, b in zip(coeffs, within):
-        el = add(el, c * b)
-    return symmetrize(el)
+    return symmetrize(_combination(sub.ambient, rng.standard_normal(len(within)), within))
 
 
 def _minimal_projection(sub: StarSubalgebra, factor_unit: Element,
@@ -192,7 +185,7 @@ def _minimal_projection(sub: StarSubalgebra, factor_unit: Element,
             return e
         y = _random_self_adjoint_in(sub, rng, list(corner_vecs))
         y = mul(mul(e, y), e)
-        projs = _spectral_projections_in_sub(y, sub, tol)
+        projs = _spectral_projections_in_sub(y, tol)
         candidates = [p for p in projs
                       if operator_norm(p) > 0.5
                       and operator_norm(p - mul(mul(e, p), e)) < 1e-6]
@@ -203,20 +196,18 @@ def _minimal_projection(sub: StarSubalgebra, factor_unit: Element,
 
 
 def wedderburn(sub: StarSubalgebra, seed: int = 0,
-               tol: ToleranceConfig = DEFAULT_TOL,
-               retries: int = 8) -> WedderburnResult:
+               tol: ToleranceConfig = DEFAULT_TOL) -> WedderburnResult:
     """Decompose a verified *-subalgebra as a direct sum of matrix algebras.
 
-    Randomized centre splitting with bounded retries; a degenerate central
+    Randomized centre splitting with eight tries; a degenerate central
     sample produces fewer factors than the centre dimension and is redrawn.
     """
     centre_basis = _sub_centre_basis(sub, tol)
     m = len(centre_basis)
     rng = np.random.default_rng(seed)
-    factors: list[Element] = []
-    for attempt in range(retries):
+    for _ in range(8):
         z = _random_self_adjoint_in(sub, rng, centre_basis)
-        projs = _spectral_projections_in_sub(z, sub, tol)
+        projs = _spectral_projections_in_sub(z, tol)
         if len(projs) == m:
             factors = projs
             break

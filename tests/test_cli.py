@@ -384,3 +384,15 @@ def test_remaining_commands_golden_bytes(name, argv, payload):
     code, out = run_cli(argv, stdin)
     assert code == 0
     assert out == (CLI_GOLDEN / f"{name}.out.json").read_text()
+
+
+def test_verify_suite_writes_its_report_to_out(tmp_path, monkeypatch):
+    import vnalg.cli
+    monkeypatch.setattr(vnalg.cli, "run_suite",
+                        lambda level: [("first", True, "fine"), ("second check", False, "bad")])
+    dst = tmp_path / "report.txt"
+    code, out = run_cli(["verify-suite", "--out", str(dst)])
+    assert (code, out) == (3, "")
+    assert dst.read_text() == ("first         pass  fine\n"
+                               "second check  FAIL  bad\n"
+                               "------------\n1/2 checks passed at level smoke\n")

@@ -88,3 +88,11 @@ NOT_A_LIST_OF_ELEMENTS = [{"elements": 5}, {"elements": "x"}, {"elements": [5]},
 def test_elements_must_be_a_list_of_elements(command, data):
     code, out = run_cli([command], dumps(data))
     assert (code, out["error"]) == (1, "ParseError")
+
+
+@pytest.mark.parametrize("command", ["wedderburn", "gelfand"])
+@pytest.mark.parametrize("basis", [5, "x", [5]], ids=json.dumps)
+def test_subalgebra_basis_must_be_a_list_of_elements(command, basis):
+    data = {"ambient": {"dims": [2]}, "basis": basis}
+    code, out = run_cli([command], dumps(data))
+    assert (code, out["error"]) == (1, "ParseError")

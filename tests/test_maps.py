@@ -3,6 +3,7 @@ and the diamond calculus on projections."""
 
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -413,7 +414,8 @@ def _poisoned(kind, value):
 
 
 @pytest.mark.parametrize("predicate", [is_involutive, is_multiplicative,
-                                       is_completely_positive, min_choi_eigenvalue])
+                                       is_completely_positive, min_choi_eigenvalue,
+                                       is_unital, is_subunital, is_miu])
 @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)])
 @pytest.mark.parametrize("kind", ["identity", "cp"])
 def test_non_finite_maps_raise_not_finite_before_lapack(predicate, value, kind, capfd):
@@ -422,3 +424,13 @@ def test_non_finite_maps_raise_not_finite_before_lapack(predicate, value, kind, 
     with pytest.raises(NotFinite):
         predicate(_poisoned(kind, value))
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("predicate", [is_unital, is_subunital, is_miu])
+def test_unit_image_predicates_warn_nothing_on_non_finite_maps(predicate):
+    # f(1) of a map with an infinite entry meets 0 * inf; numpy's warning
+    # about it would reach stderr before the NotFinite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotFinite):
+            predicate(_poisoned("identity", np.inf))
