@@ -387,8 +387,7 @@ def test_remaining_commands_golden_bytes(name, argv, payload):
 
 
 def test_verify_suite_writes_its_report_to_out(tmp_path, monkeypatch):
-    import vnalg.cli
-    monkeypatch.setattr(vnalg.cli, "run_suite",
+    monkeypatch.setattr("vnalg.cli.run_suite",
                         lambda level: [("first", True, "fine"), ("second check", False, "bad")])
     dst = tmp_path / "report.txt"
     code, out = run_cli(["verify-suite", "--out", str(dst)])

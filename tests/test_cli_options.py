@@ -5,14 +5,12 @@ import argparse
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from vnalg import functional_from_density, make_algebra
 from vnalg.cli import build_parser, main
-from vnalg.jsonio import dumps, element_to_json, map_to_json
 
-SPECTRUM_INPUT = dumps(element_to_json(make_algebra([2]).unit()))
 PAYLOAD = {"--in", "--out", "--tol"}
 # The options of each subcommand.  An option that no handler reads accepts a
 # value and silently ignores it, so one may be added only with the code that
@@ -83,25 +81,23 @@ def run_cli(argv, stdin_text=""):
     return code, out
 
 
-STATE = dumps(map_to_json(functional_from_density(0.5 * make_algebra([2]).unit())))
+DATA = Path(__file__).parent / "data" / "cli"
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--bogus"],
-    ["spectrum", "--seed", "3"],
-    ["gns", "--state", "STATE_FILE"],
-    ["check-axioms", "--algebra", "2"],
-    ["check-axioms", "--op", "nope", "--algebra", "2"],
-    ["gen", "--kind", "effect", "--algebra", "2", "--count", "two"],
-    ["no-such-command"],
-    [],
+@pytest.mark.parametrize("argv, payload", [
+    (["spectrum", "--bogus"], "effect_2+1"),
+    (["spectrum", "--seed", "3"], "effect_2+1"),
+    (["gns", "--state", str(DATA / "state_2+1.in.json")], "state_2+1"),
+    (["check-axioms", "--algebra", "2"], None),
+    (["check-axioms", "--op", "nope", "--algebra", "2"], None),
+    (["gen", "--kind", "effect", "--algebra", "2", "--count", "two"], None),
+    (["no-such-command"], None),
+    ([], None),
 ])
-def test_usage_errors_are_parse_errors_on_stdout(argv, tmp_path, capfd):
+def test_usage_errors_are_parse_errors_on_stdout(argv, payload, capfd):
     # Each payload is valid, so only the command line can be at fault.
-    state_file = tmp_path / "state.json"
-    state_file.write_text(STATE)
-    argv = [str(state_file) if a == "STATE_FILE" else a for a in argv]
-    code, out = run_cli(argv, STATE if argv[:1] == ["gns"] else SPECTRUM_INPUT)
+    stdin = (DATA / f"{payload}.in.json").read_text() if payload else ""
+    code, out = run_cli(argv, stdin)
     assert code == 1
     assert json.loads(out)["error"] == "ParseError"
     assert capfd.readouterr().err == ""
