@@ -5,9 +5,12 @@ the whole battery is the same code the CLI exposes as verify-suite --level
 full.  Desk scale: block sizes at most 6, at most 3 blocks.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from vnalg.suite import (check_choi_agreement, check_division_polar,
+from vnalg.suite import (CHECKS, check_choi_agreement, check_division_polar,
                          check_duplicability, check_gns,
                          check_inequality_corpus, check_lattice_identities,
                          check_monoidal_coherence, check_seqprod_axioms,
@@ -34,3 +37,14 @@ def test_acceptance_criterion(label, fn, capsys):
         status = "PASS" if ok else "FAIL"
         print(f"\n[{status}] criterion {label}: {detail}")
     assert ok, detail
+
+
+SUITE_GOLDEN = Path(__file__).parent / "data" / "suite"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smoke_battery_golden(seed):
+    # Criteria 2-10 at smoke counts on seeds other than the acceptance ones:
+    # every verdict and detail string, pass or fail, is pinned.
+    want = json.loads((SUITE_GOLDEN / f"smoke_seed{seed}.json").read_text())
+    assert {name: list(fn("smoke", seed)) for name, fn in CHECKS[1:]} == want

@@ -395,3 +395,20 @@ def test_verify_suite_writes_its_report_to_out(tmp_path, monkeypatch):
     assert dst.read_text() == ("first         pass  fine\n"
                                "second check  FAIL  bad\n"
                                "------------\n1/2 checks passed at level smoke\n")
+
+
+@pytest.mark.parametrize("name, argv, payload", [
+    ("ceil_tol_small_eig", ["ceil"], "small_eig_2+1"),
+    ("support_tol_small_eig", ["support"], "small_eig_2+1"),
+    ("filter_tol_small_eig", ["filter"], "small_eig_2+1"),
+    ("checkmap_carrier_tol_conj_small", ["checkmap", "--carrier"], "conj_small_3"),
+    ("check_axioms_std_tol", ["check-axioms", "--op", "std", "--algebra", "2,1",
+                              "--trials", "6", "--seed", "9"], None),
+])
+def test_tol_option_golden_bytes(name, argv, payload):
+    # At --tol 1e-3 the payloads' eigenvalues of order 1e-5 fall inside the
+    # snapping radius, so the first four outputs differ from the default's.
+    stdin = (CLI_GOLDEN / f"{payload}.in.json").read_text() if payload else ""
+    code, out = run_cli(argv + ["--tol", "1e-3"], stdin)
+    assert code == 0
+    assert out == (CLI_GOLDEN / f"{name}.out.json").read_text()
