@@ -27,16 +27,22 @@ from .sampling import random_density, random_effect, random_element, random_proj
 from .spectral import absolute, functional_calculus, named_function, spectrum, sqrt
 from .structure import gelfand_finite, gns, star_subalgebra, wedderburn
 from .suite import run_suite
-from .tensor import (classical_points, classical_reflection, classical_unit,
-                     duplicability_witness, duplicator, is_duplicable,
-                     tensor_algebra, tensor_elements)
+from .tensor import (_tensor_of, classical_points, classical_reflection, classical_unit,
+                     duplicability_witness, duplicator, is_duplicable, tensor_algebra)
 
 
-def _tolerance(args) -> ToleranceConfig:
-    if args.tol is None:
-        return DEFAULT_TOL
-    return ToleranceConfig(eps_rel=args.tol, eps_abs=DEFAULT_TOL.eps_abs,
-                           snap_eps=max(DEFAULT_TOL.snap_eps, args.tol))
+def _tolerance(text: str) -> ToleranceConfig:
+    """The ``--tol EPS`` value: the default tolerances with eps_rel = EPS and
+    snap_eps at least EPS.  A bad EPS is a usage error that names the option."""
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    try:
+        return ToleranceConfig(eps_rel=eps, eps_abs=DEFAULT_TOL.eps_abs,
+                               snap_eps=max(DEFAULT_TOL.snap_eps, eps))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_payload(args):
@@ -71,12 +77,9 @@ def _dims(text: str) -> list[int]:
     return [int(part) for part in text.replace("x", ",").split(",") if part]
 
 
-def cmd_spectrum(args):
-    a = jsonio.element_from_json(_read_payload(args))
-    sp = spectrum(a, _tolerance(args))
-    _emit(args, {"values": [_complex_pair(v) for v in sp.values],
-                 "per_block": [[_complex_pair(v) for v in blk]
-                               for blk in sp.per_block]})
+def _spectrum_json(sp):
+    return {"values": [_complex_pair(v) for v in sp.values],
+            "per_block": [[_complex_pair(v) for v in blk] for blk in sp.per_block]}
 
 
 def _elements(payload, key="elements") -> list:
@@ -86,56 +89,52 @@ def _elements(payload, key="elements") -> list:
     return [jsonio.element_from_json(e) for e in elements]
 
 
-def _operands(args, *keys) -> list:
-    """The elements under ``keys`` of the payload object."""
-    payload = _read_payload(args)
-    return [jsonio.element_from_json(payload[key]) for key in keys]
+def _pair(*keys):
+    """The payload reader returning the elements under ``keys``."""
+    def read(payload) -> list:
+        return [jsonio.element_from_json(payload[key]) for key in keys]
+    return read
 
 
-def _element_cmd(fn, read=jsonio.element_from_json):
-    """The command printing the element fn(read(payload), tol).  A subcommand
-    with a ``--f NAME`` option applies that named function instead."""
+def _cmd(fn, read=jsonio.element_from_json, show=jsonio.element_to_json):
+    """The command printing show(fn(read(payload), tol)).  A subcommand with
+    a ``--f NAME`` option applies that named function instead of fn."""
     def runner(args):
         arg = read(_read_payload(args))
-        tol = _tolerance(args)
         if getattr(args, "fname", None):
-            out = functional_calculus(arg, named_function(args.fname), tol)
+            out = functional_calculus(arg, named_function(args.fname), args.tol)
         else:
-            out = fn(arg, tol)
-        _emit(args, jsonio.element_to_json(out))
+            out = fn(arg, args.tol)
+        _emit(args, show(out))
     return runner
 
 
-def cmd_polar(args):
-    a = jsonio.element_from_json(_read_payload(args))
-    parts = polar(a, _tolerance(args))
-    _emit(args, {"isometry": jsonio.element_to_json(parts.isometry),
-                 "modulus": jsonio.element_to_json(parts.modulus)})
+def _polar_json(parts):
+    return {"isometry": jsonio.element_to_json(parts.isometry),
+            "modulus": jsonio.element_to_json(parts.modulus)}
+
+
+def _map_json(f):
+    return {"map": jsonio.map_to_json(f)}
+
+
+def _gns_json(res):
+    return {"hilbert_dim": res.hilbert_dim, "rep": jsonio.map_to_json(res.rep),
+            "eta": [[_complex_pair(v) for v in row] for row in res.eta]}
 
 
 def cmd_divide(args):
-    tol = _tolerance(args)
-    a, b = _operands(args, "a", "b")
+    a, b = _pair("a", "b")(_read_payload(args))
     if args.left:
-        q = left_divide(b, a, tol)
-        lam = None
+        out = {"quotient": jsonio.element_to_json(left_divide(b, a, args.tol))}
     else:
-        q = divide(a, b, tol)
-        lam = douglas_lambda(a, b, tol)
-    out = {"quotient": jsonio.element_to_json(q)}
-    if lam is not None:
-        out["lambda"] = lam
+        out = {"quotient": jsonio.element_to_json(divide(a, b, args.tol)),
+               "lambda": douglas_lambda(a, b, args.tol)}
     _emit(args, out)
 
 
-def cmd_seqquot(args):
-    tol = _tolerance(args)
-    a, b = _operands(args, "a", "b")
-    _emit(args, jsonio.element_to_json(seq_quotient(a, b, tol)))
-
-
 def cmd_checkmap(args):
-    tol = _tolerance(args)
+    tol = args.tol
     f = jsonio.map_from_json(_read_payload(args))
     out = {}
     if args.cp or not (args.miu or args.carrier):
@@ -162,34 +161,10 @@ def cmd_choi(args):
 
 
 def cmd_corner(args):
-    tol = _tolerance(args)
     p = jsonio.element_from_json(_read_payload(args))
-    f = standard_corner(p, tol)
+    f = standard_corner(p, args.tol)
     _emit(args, {"map": jsonio.map_to_json(f),
-                 "floor": jsonio.element_to_json(floor(p, tol))})
-
-
-def cmd_filter(args):
-    tol = _tolerance(args)
-    p = jsonio.element_from_json(_read_payload(args))
-    f = standard_filter(p, tol)
-    _emit(args, {"map": jsonio.map_to_json(f)})
-
-
-def cmd_bracket(args):
-    f = jsonio.map_from_json(_read_payload(args))
-    _emit(args, {"map": jsonio.map_to_json(bracket(f, _tolerance(args)))})
-
-
-def cmd_purity(args):
-    f = jsonio.map_from_json(_read_payload(args))
-    _emit(args, {"pure": is_pure(f, _tolerance(args))})
-
-
-def cmd_seqprod(args):
-    tol = _tolerance(args)
-    p, q = _operands(args, "p", "q")
-    _emit(args, jsonio.element_to_json(seq_product(p, q, tol)))
+                 "floor": jsonio.element_to_json(floor(p, args.tol))})
 
 
 def _witness_to_json(w):
@@ -207,10 +182,9 @@ def _witness_to_json(w):
 
 
 def cmd_check_axioms(args):
-    tol = _tolerance(args)
     algebra = make_algebra(_dims(args.algebra))
-    op = named_op(args.op, algebra, tol)
-    rep = check_axioms(op, algebra, trials=args.trials, seed=args.seed, tol=tol)
+    op = named_op(args.op, algebra, args.tol)
+    rep = check_axioms(op, algebra, trials=args.trials, seed=args.seed, tol=args.tol)
     out = {axiom: {"status": res["status"],
                    "witness": _witness_to_json(res["witness"])}
            for axiom, res in rep.items()}
@@ -229,22 +203,20 @@ def cmd_tensor(args):
 
 
 def cmd_tensor_el(args):
-    a, b = _operands(args, "left", "right")
-    ts = tensor_algebra(a.algebra, b.algebra)
-    _emit(args, jsonio.element_to_json(tensor_elements(ts, a, b)))
+    a, b = _pair("left", "right")(_read_payload(args))
+    _emit(args, jsonio.element_to_json(_tensor_of(a, b)))
 
 
 def cmd_dup_check(args):
-    tol = _tolerance(args)
     algebra = make_algebra(_dims(args.algebra))
-    dup = duplicator(algebra, tol)
+    dup = duplicator(algebra)
     out = {"duplicable": is_duplicable(algebra)}
     if dup is not None:
         out["duplicator"] = jsonio.map_to_json(dup)
         out["witness"] = None
     else:
         w = duplicability_witness(algebra, samples=args.samples, seed=args.seed,
-                                  tol=tol)
+                                  tol=args.tol)
         out["duplicator"] = None
         out["witness"] = jsonio.element_to_json(w)
     _emit(args, out)
@@ -257,15 +229,14 @@ def cmd_bang(args):
                  "unit": jsonio.map_to_json(classical_unit(algebra))})
 
 
-def _subalgebra_from_json(payload, tol):
+def _subalgebra(args):
+    payload = _read_payload(args)
     ambient = jsonio.algebra_from_json(payload["ambient"])
-    return star_subalgebra(ambient, _elements(payload, "basis"), tol)
+    return star_subalgebra(ambient, _elements(payload, "basis"), args.tol)
 
 
 def cmd_wedderburn(args):
-    tol = _tolerance(args)
-    sub = _subalgebra_from_json(_read_payload(args), tol)
-    res = wedderburn(sub, seed=args.seed, tol=tol)
+    res = wedderburn(_subalgebra(args), seed=args.seed, tol=args.tol)
     _emit(args, {"dims": list(res.dims),
                  "embed": jsonio.map_to_json(res.embed),
                  "min_central_projections": [jsonio.element_to_json(z)
@@ -273,18 +244,8 @@ def cmd_wedderburn(args):
 
 
 def cmd_gelfand(args):
-    tol = _tolerance(args)
-    sub = _subalgebra_from_json(_read_payload(args), tol)
-    points, res = gelfand_finite(sub, seed=args.seed, tol=tol)
+    points, res = gelfand_finite(_subalgebra(args), seed=args.seed, tol=args.tol)
     _emit(args, {"points": points, "dims": list(res.dims)})
-
-
-def cmd_gns(args):
-    tol = _tolerance(args)
-    res = gns(jsonio.map_from_json(_read_payload(args)), tol)
-    _emit(args, {"hilbert_dim": res.hilbert_dim,
-                 "rep": jsonio.map_to_json(res.rep),
-                 "eta": [[_complex_pair(v) for v in row] for row in res.eta]})
 
 
 def cmd_verify_suite(args):
@@ -301,23 +262,21 @@ def cmd_verify_suite(args):
     return 3 if failed else 0
 
 
+# gen --kind: the JSON of one random draw on an algebra.
+_SAMPLERS = {
+    "effect": lambda alg, rng: jsonio.element_to_json(random_effect(alg, rng)),
+    "projection": lambda alg, rng: jsonio.element_to_json(random_projection(alg, rng)),
+    "element": lambda alg, rng: jsonio.element_to_json(random_element(alg, rng)),
+    "state": lambda alg, rng: jsonio.map_to_json(
+        functional_from_density(random_density(alg, rng))),
+    "cpmap": lambda alg, rng: jsonio.map_to_json(random_cp_map(alg, alg, rng)),
+}
+
+
 def cmd_gen(args):
     rng = np.random.default_rng(args.seed)
     algebra = make_algebra(_dims(args.algebra))
-    out = []
-    for _ in range(args.count):
-        if args.kind == "effect":
-            out.append(jsonio.element_to_json(random_effect(algebra, rng)))
-        elif args.kind == "projection":
-            out.append(jsonio.element_to_json(random_projection(algebra, rng)))
-        elif args.kind == "element":
-            out.append(jsonio.element_to_json(random_element(algebra, rng)))
-        elif args.kind == "state":
-            out.append(jsonio.map_to_json(
-                functional_from_density(random_density(algebra, rng))))
-        elif args.kind == "cpmap":
-            out.append(jsonio.map_to_json(random_cp_map(algebra, algebra, rng)))
-    _emit(args, out)
+    _emit(args, [_SAMPLERS[args.kind](algebra, rng) for _ in range(args.count)])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -342,33 +301,33 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if tol:
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                            help="override the relative tolerance")
         p.set_defaults(fn=fn)
         return p
 
-    command("spectrum", cmd_spectrum)
-    command("sqrt", _element_cmd(sqrt)).add_argument(
+    command("spectrum", _cmd(spectrum, show=_spectrum_json))
+    command("sqrt", _cmd(sqrt)).add_argument(
         "--f", dest="fname", default=None,
         help="named function: sqrt, abs, pospart, negpart, pow:A, exp-phase")
-    command("abs", _element_cmd(absolute)).add_argument("--f", dest="fname", default=None)
+    command("abs", _cmd(absolute)).add_argument("--f", dest="fname", default=None)
 
-    command("ceil", _element_cmd(ceiling))
-    command("floor", _element_cmd(floor))
-    command("support", _element_cmd(support))
-    command("range", _element_cmd(range_projection))
-    command("join", _element_cmd(join, _elements))
-    command("meet", _element_cmd(meet, _elements))
-    command("csupport", _element_cmd(central_support))
+    command("ceil", _cmd(ceiling))
+    command("floor", _cmd(floor))
+    command("support", _cmd(support))
+    command("range", _cmd(range_projection))
+    command("join", _cmd(join, _elements))
+    command("meet", _cmd(meet, _elements))
+    command("csupport", _cmd(central_support))
 
-    command("polar", cmd_polar)
-    command("pinv", _element_cmd(pseudoinverse))
+    command("polar", _cmd(polar, show=_polar_json))
+    command("pinv", _cmd(pseudoinverse))
     group = command("divide", cmd_divide).add_mutually_exclusive_group()
     group.add_argument("--left", action="store_true",
                        help="left division: the c with b·c = a")
     group.add_argument("--right", action="store_true",
                        help="right division, the default: the c with c·b = a")
-    command("seqquot", cmd_seqquot)
+    command("seqquot", _cmd(lambda ab, tol: seq_quotient(*ab, tol), _pair("a", "b")))
 
     p = command("checkmap", cmd_checkmap)
     p.add_argument("--cp", action="store_true")
@@ -377,10 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     command("choi", cmd_choi, tol=False)
 
     command("corner", cmd_corner)
-    command("filter", cmd_filter)
-    command("bracket", cmd_bracket)
-    command("purity", cmd_purity)
-    command("seqprod", cmd_seqprod)
+    command("filter", _cmd(standard_filter, show=_map_json))
+    command("bracket", _cmd(bracket, jsonio.map_from_json, _map_json))
+    command("purity", _cmd(is_pure, jsonio.map_from_json, lambda pure: {"pure": pure}))
+    command("seqprod", _cmd(lambda pq, tol: seq_product(*pq, tol), _pair("p", "q")))
 
     p = command("check-axioms", cmd_check_axioms, payload=False, seed=True)
     p.add_argument("--op", required=True,
@@ -401,14 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("wedderburn", cmd_wedderburn, seed=True)
     command("gelfand", cmd_gelfand, seed=True)
-    command("gns", cmd_gns)
+    command("gns", _cmd(gns, jsonio.map_from_json, _gns_json))
 
     command("verify-suite", cmd_verify_suite, payload=False, tol=False).add_argument(
         "--level", choices=["smoke", "full"], default="smoke")
 
     p = command("gen", cmd_gen, payload=False, seed=True, tol=False)
-    p.add_argument("--kind", required=True,
-                   choices=["effect", "projection", "element", "state", "cpmap"])
+    p.add_argument("--kind", required=True, choices=list(_SAMPLERS))
     p.add_argument("--algebra", required=True)
     p.add_argument("--count", type=int, default=1)
     return parser

@@ -22,9 +22,9 @@ from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, _
                       operator_norm, orthosupplement, symmetrize)
 from .errors import (CarrierViolated, FilterBoundViolated, NotEffect,
                      NotPositive, PostconditionViolated, ShapeMismatch)
-from .maps import (LinMap, _sandwich_matrix, apply, are_contraposed, carrier, compose,
-                   conjugation_map, density, is_completely_positive, is_unital, make_map,
-                   maps_equal, mult_map, trace_functional)
+from .maps import (LinMap, _sandwich_matrix, _unit_image, apply, are_contraposed, carrier,
+                   compose, conjugation_map, density, is_completely_positive, is_unital,
+                   make_map, maps_equal, mult_map, trace_functional)
 from .projections import ceiling, certify_projection, floor
 from .division import pseudoinverse
 from .sampling import random_effect, random_projection
@@ -119,7 +119,7 @@ def factor_through_filter(f: LinMap, d: Element,
     support of d.
     """
     bound = mul(adjoint(d), d)
-    one_img = apply(f, f.dom.unit())
+    one_img = _unit_image(f)
     if not is_positive(bound - one_img, tol):
         raise FilterBoundViolated("f(1) is not below d*d")
     bound_sym = symmetrize(bound)
@@ -149,7 +149,7 @@ def _unit_corners(f: LinMap, tol: ToleranceConfig):
     """f(1), its Hermitian part, and the corners of the carrier of f and of
     the ceiling of f(1); the carrier is computed first."""
     car = carrier(f, tol)
-    one_img = apply(f, f.dom.unit())
+    one_img = _unit_image(f)
     one_sym = symmetrize(one_img)
     return (one_img, one_sym, corner_algebra(car, tol),
             corner_algebra(ceiling(one_sym, tol), tol))
@@ -177,7 +177,7 @@ def is_pure(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """
     if not is_completely_positive(f, tol):
         return False
-    if operator_norm(apply(f, f.dom.unit())) <= tol.eps_abs:
+    if operator_norm(_unit_image(f)) <= tol.eps_abs:
         # The zero map factors through the zero corner.
         return True
     br = bracket(f, tol)
@@ -231,7 +231,7 @@ def is_diamond_positive(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """
     if f.dom != f.cod:
         raise ShapeMismatch("needs an endomap")
-    one_img = apply(f, f.dom.unit())
+    one_img = _unit_image(f)
     if not is_positive(one_img, tol):
         return False
     root = sqrt(symmetrize(one_img), tol)

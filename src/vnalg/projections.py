@@ -277,8 +277,7 @@ def central_support_partition(e: Element,
     return pieces
 
 
-def projection_family(algebra: FdAlgebra, seed: int = 0, extra: int = 4,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> list[Element]:
+def projection_family(algebra: FdAlgebra, seed: int = 0, extra: int = 4) -> list[Element]:
     """A deterministic spanning family of projections used by diamond checks.
 
     Contains 0, 1, every diagonal matrix-unit projection, per-block uniform

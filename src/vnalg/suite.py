@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, FdAlgebra, ToleranceConfig, _block_diag, add,
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag, add,
                       adjoint, equal, is_positive, leq, make_algebra, mul,
                       operator_norm, orthosupplement, scalar_mul)
 from .division import (approximate_pseudoinverse, divide, douglas_lambda, polar)
@@ -28,12 +28,18 @@ from .sampling import (random_effect, random_element, random_positive,
                        random_unitary_block)
 from .spectral import power, spectrum, sqrt
 from .structure import gns, star_subalgebra, wedderburn
-from .tensor import (associator, braiding, duplicability_witness,
-                     duplicator, distributor, is_duplicable, left_unitor,
-                     multiplication_map, right_unitor,
-                     tensor_algebra, tensor_elements, tensor_maps)
+from .tensor import (_tensor_of, _tensor_of_maps, associator, braiding,
+                     duplicability_witness, duplicator, distributor, is_duplicable,
+                     left_unitor, multiplication_map, right_unitor, tensor_algebra)
 
 TOL = DEFAULT_TOL
+MIU_TOL = ToleranceConfig(eps_rel=1e-8, eps_abs=1e-10, snap_eps=1e-7)
+
+
+def _close(d: Element, ref: Element, rel: float) -> bool:
+    """The battery's relative check: ||d|| <= rel * (1 + ||ref||).  It is not
+    ``ToleranceConfig.threshold``, which at ||ref|| = 1 is about half as wide."""
+    return operator_norm(d) <= rel * (1.0 + operator_norm(ref))
 
 
 def _counts(level: str) -> dict:
@@ -56,17 +62,18 @@ def check_seqprod_axioms(level: str = "full", seed: int = 2024) -> tuple[bool, s
     c = _counts(level)
     algebras = [make_algebra([2]), make_algebra([3]), make_algebra([2, 1])]
     problems = []
+
+    def report(op, alg):
+        return check_axioms(op, alg, trials=c["axiom_trials"], seed=seed, tol=TOL,
+                            check_tol=1e-8, purity_trials=c["purity_trials"])
+
     for alg in algebras:
-        rep = check_axioms(standard_op(TOL), alg, trials=c["axiom_trials"],
-                           seed=seed, tol=TOL, check_tol=1e-8,
-                           purity_trials=c["purity_trials"])
+        rep = report(standard_op(TOL), alg)
         bad = [k for k, v in rep.items() if v["status"] != "pass"]
         if bad:
             problems.append(f"std on {alg.dims}: {bad} not passing")
         for op in counterexample_ops(alg, TOL):
-            rep = check_axioms(op, alg, trials=c["axiom_trials"], seed=seed,
-                               tol=TOL, check_tol=1e-8,
-                               purity_trials=c["purity_trials"])
+            rep = report(op, alg)
             for axiom, res in rep.items():
                 want = "fail" if axiom == op.target_axiom else "pass"
                 if res["status"] != want:
@@ -97,7 +104,7 @@ def check_square_root_axiom(level: str = "full", seed: int = 11) -> tuple[bool, 
         if not is_diamond_positive(g, TOL):
             return False, f"fourth-root conjugation not diamond-positive at {p!r}"
         gg1 = apply(g, apply(g, alg.unit()))
-        if operator_norm(gg1 - p) > 1e-8 * (1.0 + operator_norm(p)):
+        if not _close(gg1 - p, p, 1e-8):
             return False, "g(g(1)) != p beyond 1e-8"
     rejected = 0
     for _ in range(n):
@@ -186,7 +193,7 @@ def check_choi_agreement(level: str = "full", seed: int = 5) -> tuple[bool, str]
         if by_choi != by_oracle:
             return False, f"instance {k}: choi={by_choi} oracle={by_oracle}"
         agree += 1
-    t_eig = min_choi_eigenvalue(transpose_map(alg), TOL)
+    t_eig = min_choi_eigenvalue(transpose_map(alg))
     if abs(t_eig - (-1.0)) > 1e-9:
         return False, f"transpose Choi eigenvalue {t_eig} != -1"
     return True, f"{agree} maps agree with the sampled oracle; transpose eig -1"
@@ -207,9 +214,9 @@ def check_division_polar(level: str = "full", seed: int = 23) -> tuple[bool, str
         if k % 3 == 0:
             a = mul(a, random_projection(alg, rng))  # force rank deficiency
         parts = polar(a, TOL)
-        resid = operator_norm(a - mul(parts.isometry, parts.modulus))
-        if resid > 1e-9 * (1.0 + operator_norm(a)):
-            return False, f"polar residual {resid:.2e}"
+        resid = a - mul(parts.isometry, parts.modulus)
+        if not _close(resid, a, 1e-9):
+            return False, f"polar residual {operator_norm(resid):.2e}"
     for k in range(max(1, n // 2)):
         alg = algebras[k % 2]
         cfac = random_element(alg, rng)
@@ -219,7 +226,7 @@ def check_division_polar(level: str = "full", seed: int = 23) -> tuple[bool, str
         a = mul(cfac, b)
         q = divide(a, b, TOL)
         want = mul(cfac, range_projection(b, TOL))
-        if operator_norm(q - want) > 1e-8 * (1.0 + operator_norm(want)):
+        if not _close(q - want, want, 1e-8):
             return False, "division did not recover the cofactor on the support"
         lam = douglas_lambda(a, b, TOL)
         if operator_norm(q) > lam + 1e-8:
@@ -303,7 +310,6 @@ def _conjugated_block_subalgebra(dims: list[int], rng: np.random.Generator):
 def check_wedderburn_recovery(level: str = "full", seed: int = 31) -> tuple[bool, str]:
     c = _counts(level)
     rng = np.random.default_rng(seed)
-    miu_tol = ToleranceConfig(eps_rel=1e-8, eps_abs=1e-10, snap_eps=1e-7)
     for k in range(c["wedderburn_trials"]):
         blocks = int(rng.integers(1, 4))
         dims = []
@@ -320,7 +326,7 @@ def check_wedderburn_recovery(level: str = "full", seed: int = 31) -> tuple[bool
         result = wedderburn(sub, seed=int(rng.integers(0, 2**31)), tol=TOL)
         if sorted(result.dims) != sorted(dims):
             return False, f"instance {k}: got {result.dims}, wanted {dims}"
-        if not is_miu(result.embed, miu_tol):
+        if not is_miu(result.embed, MIU_TOL):
             return False, f"instance {k}: embedding not miu at 1e-8"
         for x in result.target.basis():
             if not sub.contains(apply(result.embed, x), TOL):
@@ -352,7 +358,7 @@ def check_gns(level: str = "full", seed: int = 13) -> tuple[bool, str]:
                 if res.hilbert_dim and np.linalg.norm(
                         fx.blocks[0] @ res.vector(y) - res.vector(mul(x, y))) > 1e-8:
                     return False, "representation does not intertwine"
-            if not is_miu(res.rep, ToleranceConfig(1e-8, 1e-10, 1e-7)):
+            if not is_miu(res.rep, MIU_TOL):
                 return False, "representation not miu at 1e-8"
             if not equal(carrier(res.rep, TOL), central_carrier(omega, TOL), TOL):
                 return False, "carrier of the representation differs"
@@ -381,17 +387,16 @@ def check_duplicability(level: str = "full", seed: int = 17) -> tuple[bool, str]
     if is_positive(apply(mmap, witness), TOL):
         return False, "witness does not violate positivity"
     c3 = make_algebra([1, 1, 1])
-    dup = duplicator(c3, TOL)
-    ts = tensor_algebra(c3, c3)
+    dup = duplicator(c3)
     if not is_completely_positive(dup, TOL):
         return False, "classical duplicator is not CP"
-    one_img = apply(dup, ts.product.unit())
+    one_img = apply(dup, dup.dom.unit())
     if not (is_positive(one_img, TOL)
             and is_positive(orthosupplement(one_img), TOL)):
         return False, "classical duplicator is not subunital"
     for x in c3.basis():
-        if not (equal(apply(dup, tensor_elements(ts, x, c3.unit())), x, TOL)
-                and equal(apply(dup, tensor_elements(ts, c3.unit(), x)), x, TOL)):
+        if not (equal(apply(dup, _tensor_of(x, c3.unit())), x, TOL)
+                and equal(apply(dup, _tensor_of(c3.unit(), x)), x, TOL)):
             return False, "unit law fails"
     if not maps_equal(dup, multiplication_map(c3), TOL):
         return False, "duplicator is not coordinatewise multiplication"
@@ -428,22 +433,11 @@ def check_monoidal_coherence(level: str = "full", seed: int = 19) -> tuple[bool,
 
     # Pentagon on probes: both reassociation routes send a (x) (b (x) (c (x) d))
     # to ((a (x) b) (x) c) (x) d.
-    ts_cd = tensor_algebra(C, D)
-    ts_b_cd = tensor_algebra(B, ts_cd.product)
-    ts_a_bcd = tensor_algebra(A, ts_b_cd.product)
-    ts_ab = tensor_algebra(A, B)
-    ts_ab_c = tensor_algebra(ts_ab.product, C)
-    ts_abc_d = tensor_algebra(ts_ab_c.product, D)
-    top = compose(associator(ts_ab.product, C, D),
-                  associator(A, B, ts_cd.product))
-    ts_bc = tensor_algebra(B, C)
-    ts_bc_d = tensor_algebra(ts_bc.product, D)
-    ts_a_bc_d = tensor_algebra(A, ts_bc_d.product)
-    ts_a_bc = tensor_algebra(A, ts_bc.product)
-    ts_a_bc__d = tensor_algebra(ts_a_bc.product, D)
-    step1 = tensor_maps(ts_a_bcd, ts_a_bc_d, identity_map(A), associator(B, C, D))
-    step2 = associator(A, ts_bc.product, D)
-    step3 = tensor_maps(ts_a_bc__d, ts_abc_d, associator(A, B, C), identity_map(D))
+    AB = tensor_algebra(A, B).product
+    top = compose(associator(AB, C, D), associator(A, B, tensor_algebra(C, D).product))
+    step1 = _tensor_of_maps(identity_map(A), associator(B, C, D))
+    step2 = associator(A, tensor_algebra(B, C).product, D)
+    step3 = _tensor_of_maps(associator(A, B, C), identity_map(D))
     bottom = compose(step3, compose(step2, step1))
     probes_ok = 0
     for _ in range(c["coherence_probes"]):
@@ -451,73 +445,52 @@ def check_monoidal_coherence(level: str = "full", seed: int = 19) -> tuple[bool,
         b = random_element(B, rng)
         cc = random_element(C, rng)
         d = random_element(D, rng)
-        x = tensor_elements(ts_a_bcd, a,
-                            tensor_elements(ts_b_cd, b,
-                                            tensor_elements(ts_cd, cc, d)))
-        want = tensor_elements(
-            ts_abc_d,
-            tensor_elements(ts_ab_c, tensor_elements(ts_ab, a, b), cc), d)
+        x = _tensor_of(a, _tensor_of(b, _tensor_of(cc, d)))
+        want = _tensor_of(_tensor_of(_tensor_of(a, b), cc), d)
         y1 = apply(top, x)
         y2 = apply(bottom, x)
-        if operator_norm(y1 - want) > 1e-9 * (1 + operator_norm(want)) or \
-                operator_norm(y2 - want) > 1e-9 * (1 + operator_norm(want)):
+        if not (_close(y1 - want, want, 1e-9) and _close(y2 - want, want, 1e-9)):
             return False, "pentagon routes disagree on a probe"
         probes_ok += 1
 
     # Triangle: (rho_A (x) id_C) o assoc = id_A (x) lambda_C on A (x) (S (x) C).
     S = FdAlgebra((1,))
-    ts_sc = tensor_algebra(S, C)
-    ts_a_sc = tensor_algebra(A, ts_sc.product)
-    ts_as = tensor_algebra(A, S)
-    ts_as_c = tensor_algebra(ts_as.product, C)
-    ts_ac = tensor_algebra(A, C)
-    left = compose(tensor_maps(ts_as_c, ts_ac, right_unitor(A), identity_map(C)),
-                   associator(A, S, C))
-    right = tensor_maps(ts_a_sc, ts_ac, identity_map(A), left_unitor(C))
+    left = compose(_tensor_of_maps(right_unitor(A), identity_map(C)), associator(A, S, C))
+    right = _tensor_of_maps(identity_map(A), left_unitor(C))
     if not maps_equal(left, right, TOL):
         return False, "triangle diagram does not commute"
 
     # Hexagon: assoc o braid o assoc = (braid (x) id) o assoc o (id (x) braid).
-    ts_ab2 = tensor_algebra(A, B)
-    ts_bc2 = tensor_algebra(B, C)
-    ts_a_bc2 = tensor_algebra(A, ts_bc2.product)
-    ts_cb = tensor_algebra(C, B)
-    ts_a_cb = tensor_algebra(A, ts_cb.product)
-    ts_ac2 = tensor_algebra(A, C)
-    ts_ac_b = tensor_algebra(ts_ac2.product, B)
-    ts_ca = tensor_algebra(C, A)
-    ts_ca_b = tensor_algebra(ts_ca.product, B)
     lhs_hex = compose(associator(C, A, B),
-                      compose(braiding(ts_ab2.product, C),
+                      compose(braiding(AB, C),
                               associator(A, B, C)))
     rhs_hex = compose(
-        tensor_maps(ts_ac_b, ts_ca_b, braiding(A, C), identity_map(B)),
+        _tensor_of_maps(braiding(A, C), identity_map(B)),
         compose(associator(A, C, B),
-                tensor_maps(ts_a_bc2, ts_a_cb, identity_map(A), braiding(B, C))))
+                _tensor_of_maps(identity_map(A), braiding(B, C))))
     for _ in range(c["coherence_probes"]):
         a = random_element(A, rng)
         b = random_element(B, rng)
         cc = random_element(C, rng)
-        x = tensor_elements(ts_a_bc2, a, tensor_elements(ts_bc2, b, cc))
+        x = _tensor_of(a, _tensor_of(b, cc))
         y1 = apply(lhs_hex, x)
         y2 = apply(rhs_hex, x)
-        if operator_norm(y1 - y2) > 1e-9 * (1 + operator_norm(y1)):
+        if not _close(y1 - y2, y1, 1e-9):
             return False, "hexagon routes disagree on a probe"
 
     # Braiding is involutive and the unitors agree on the scalar square.
     if not maps_equal(compose(braiding(C, A), braiding(A, C)),
-                      identity_map(ts_ac2.product), TOL):
+                      identity_map(tensor_algebra(A, C).product), TOL):
         return False, "braiding composed with itself is not the identity"
     if not maps_equal(left_unitor(S), right_unitor(S), TOL):
         return False, "scalar unitors disagree"
 
-    ts = tensor_algebra(A, C)
     for _ in range(c["tensor_pairs"]):
         x = random_positive(A, rng)
         y = random_positive(C, rng)
-        lhs = snap_projection(ceiling(tensor_elements(ts, x, y), TOL), TOL)
-        rhs = tensor_elements(ts, snap_projection(ceiling(x, TOL), TOL),
-                              snap_projection(ceiling(y, TOL), TOL))
+        lhs = snap_projection(ceiling(_tensor_of(x, y), TOL), TOL)
+        rhs = _tensor_of(snap_projection(ceiling(x, TOL), TOL),
+                         snap_projection(ceiling(y, TOL), TOL))
         if not equal(lhs, rhs, TOL):
             return False, "ceiling does not distribute over the tensor"
     return True, f"isos verified; pentagon/triangle/hexagon on {probes_ok} probes; " \

@@ -46,6 +46,11 @@ def tensor_elements(ts: TensorStructure, a: Element, b: Element) -> Element:
     return ts.product.element(blocks)
 
 
+def _tensor_of(x: Element, y: Element) -> Element:
+    """x (x) y in the tensor of the algebras of x and y."""
+    return tensor_elements(tensor_algebra(x.algebra, y.algebra), x, y)
+
+
 def _basis_map(dom: FdAlgebra, cod: FdAlgebra, rows, cols) -> LinMap:
     """The map sending E_cols[k] to E_rows[k] and every other basis element to 0."""
     matrix = np.zeros((cod.dim, dom.dim), dtype=complex)
@@ -69,6 +74,11 @@ def tensor_maps(ts_dom: TensorStructure, ts_cod: TensorStructure,
     cols = _unit_index(ts_dom.left, ts_dom.right).reshape(-1)
     matrix[np.ix_(rows, cols)] = np.kron(f.matrix, g.matrix)
     return LinMap(ts_dom.product, ts_cod.product, matrix)
+
+
+def _tensor_of_maps(f: LinMap, g: LinMap) -> LinMap:
+    """f (x) g from the tensor of their domains to the tensor of their codomains."""
+    return tensor_maps(tensor_algebra(f.dom, g.dom), tensor_algebra(f.cod, g.cod), f, g)
 
 
 def associator(a: FdAlgebra, b: FdAlgebra, c: FdAlgebra) -> LinMap:
@@ -145,8 +155,7 @@ def multiplication_map(algebra: FdAlgebra) -> LinMap:
     return LinMap(ts.product, algebra, matrix)
 
 
-def duplicator(algebra: FdAlgebra,
-               tol: ToleranceConfig = DEFAULT_TOL) -> Optional[LinMap]:
+def duplicator(algebra: FdAlgebra) -> Optional[LinMap]:
     """The unique duplicator (coordinatewise multiplication) when one exists."""
     if not is_duplicable(algebra):
         return None

@@ -106,3 +106,17 @@ def test_usage_errors_are_parse_errors_on_stdout(argv, payload, capfd):
 def test_help_still_exits_zero(capsys):
     assert main(["spectrum", "--help"]) == 0
     assert "--tol" in capsys.readouterr().out
+
+
+# The options each subcommand needs besides --tol.
+REQUIRED = {"check-axioms": ["--op", "std", "--algebra", "2"], "dup-check": ["--algebra", "2"]}
+
+
+@pytest.mark.parametrize("name", sorted(n for n, opts in OPTIONS.items() if "--tol" in opts))
+def test_a_bad_tol_is_a_usage_error_before_the_payload_is_read(name):
+    # The payload [] is malformed too, so a handler that read it first would
+    # report the payload instead.
+    code, out = run_cli([name, *REQUIRED.get(name, []), "--tol", "0"], "[]")
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "ParseError" and "--tol" in err["message"], err

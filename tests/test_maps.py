@@ -2,6 +2,7 @@
 and the diamond calculus on projections."""
 
 import copy
+import itertools
 import pickle
 import warnings
 
@@ -21,6 +22,8 @@ from vnalg.errors import NotFinite, NotPositive, ShapeMismatch
 from vnalg.maps import (LinMap, block_projection, cp_from_kraus,
                         random_cp_map, random_cpu_map, random_state,
                         scalar_value, zero_map, are_contraposed, are_equivalent)
+from vnalg.measurement import (bracket, chevron, factor_through_filter, is_diamond_positive,
+                               is_pure)
 from vnalg.projections import projection_family
 from vnalg.sampling import (random_element, random_positive, random_projection,
                             random_self_adjoint, random_unitary)
@@ -413,10 +416,18 @@ def _poisoned(kind, value):
     return LinMap(alg, alg, m)
 
 
+def factor_through_filter_by_2(f):
+    return factor_through_filter(f, 2.0 * f.dom.unit())
+
+
+POISON_VALUES = [np.inf, np.nan, complex(0.0, -np.inf)]
+
+
 @pytest.mark.parametrize("predicate", [is_involutive, is_multiplicative,
                                        is_completely_positive, min_choi_eigenvalue,
-                                       is_unital, is_subunital, is_miu])
-@pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)])
+                                       is_unital, is_subunital, is_miu,
+                                       is_diamond_positive, factor_through_filter_by_2])
+@pytest.mark.parametrize("value", POISON_VALUES)
 @pytest.mark.parametrize("kind", ["identity", "cp"])
 def test_non_finite_maps_raise_not_finite_before_lapack(predicate, value, kind, capfd):
     # Unchecked, an SVD of such a block gives NaN norms that compare false, or
@@ -426,11 +437,16 @@ def test_non_finite_maps_raise_not_finite_before_lapack(predicate, value, kind, 
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("predicate", [is_unital, is_subunital, is_miu])
+@pytest.mark.parametrize("predicate", [is_unital, is_subunital, is_miu, is_involutive,
+                                       is_multiplicative, is_completely_positive,
+                                       min_choi_eigenvalue, carrier, is_diamond_positive,
+                                       factor_through_filter_by_2, bracket, chevron, is_pure])
 def test_unit_image_predicates_warn_nothing_on_non_finite_maps(predicate):
-    # f(1) of a map with an infinite entry meets 0 * inf; numpy's warning
-    # about it would reach stderr before the NotFinite.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NotFinite):
-            predicate(_poisoned("identity", np.inf))
+    # f(1) of a map with an infinite entry meets 0 * inf, and the stacked
+    # differences of the map predicates meet inf - inf; numpy's warning about
+    # either would reach stderr before the NotFinite.
+    for kind, value in itertools.product(["identity", "cp"], POISON_VALUES):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite):
+                predicate(_poisoned(kind, value))

@@ -5,7 +5,9 @@
 - the tolerance rules eps_abs + eps_rel*max(1, s), -eps_rel*max(1, s) and
   snap_eps*max(1, s) are spelled only in ``ToleranceConfig``;
 - the Hermitian and skew parts of an Element are ``symmetrize(x)`` and
-  ``imag_part(x)``, never spelled out by hand.
+  ``imag_part(x)``, never spelled out by hand;
+- the acceptance battery's relative bound rel * (1 + ||ref||) is spelled
+  only in ``suite._close``.
 
 Only code is scanned: comments and string literals, docstrings included,
 may state a rule.
@@ -80,3 +82,8 @@ def test_tolerance_rules_are_spelled_only_in_tolerance_config(pattern):
 ])
 def test_element_parts_are_spelled_by_their_functions(pattern):
     assert not sites(pattern), sorted(sites(pattern))
+
+
+def test_the_battery_relative_bound_is_spelled_only_in_its_helper():
+    found = sites(r"\* \(1(\.0)? \+ operator_norm\(")
+    assert found and found <= lines_of("_close"), sorted(found)
