@@ -26,7 +26,8 @@ class ToleranceConfig:
 
     The three rules below take the scale ``s`` of what they judge (a norm, or
     a largest singular value); at the default ``s = 0`` they give the floors
-    that every scale clears, ``eps_abs + eps_rel`` and ``-eps_rel``.
+    that every scale clears, ``eps_abs + eps_rel`` and ``-eps_rel``.  Each
+    tolerance lies in (0, 1): a relative tolerance of 1 makes ``equal(a, 0)`` true.
     """
 
     eps_rel: float = 1e-9
@@ -34,8 +35,8 @@ class ToleranceConfig:
     snap_eps: float = 1e-7
 
     def __post_init__(self):
-        if not (self.eps_rel > 0 and self.eps_abs > 0 and self.snap_eps > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0 < eps < 1 for eps in (self.eps_rel, self.eps_abs, self.snap_eps)):
+            raise ValueError("tolerances must be finite and strictly between 0 and 1")
         if self.snap_eps < self.eps_rel:
             raise ValueError("snap_eps must be >= eps_rel")
 
@@ -311,7 +312,7 @@ def _fro_within(x: np.ndarray, floor: float):
     return np.sqrt(sq) <= floor * (1.0 - _FRO_MARGIN) - 1e-150
 
 
-def _norm_gate(blocks: list[np.ndarray], floor: float, threshold) -> bool:
+def _norm_gate(blocks: Sequence[np.ndarray], floor: float, threshold) -> bool:
     """_max_norm(blocks) <= threshold(), with no SVD and no threshold() when
     Frobenius norms settle every block under ``floor``, a lower bound on it."""
     return all(_fro_within(b, floor) for b in blocks) or _max_norm(blocks) <= threshold()

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, _eigh, adjoint,
-                      is_positive, mul, operator_norm)
+from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, _diff_blocks, _eigh,
+                      _norm_gate, adjoint, is_positive, mul, operator_norm)
 from .errors import DivisionUndefined, NotPositive, QuotientUndefined
 from .projections import _rank
 from .spectral import sqrt
@@ -55,10 +55,8 @@ def pseudoinverse(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """
     blocks = []
     for b in a.blocks:
-        if b.size == 0 or float(np.linalg.norm(b, 2)) <= tol.eps_abs:
-            blocks.append(np.zeros_like(b))
-            continue
-        blocks.append(np.linalg.pinv(b, rcond=tol.snap_eps))
+        zero = _norm_gate([b], tol.eps_abs, lambda: tol.eps_abs)
+        blocks.append(np.zeros_like(b) if zero else np.linalg.pinv(b, rcond=tol.snap_eps))
     return a.algebra.element(blocks)
 
 
@@ -115,8 +113,10 @@ def approximate_pseudoinverse(a: Element,
 
 
 def _reconstruction_ok(lhs: Element, rhs: Element, tol: ToleranceConfig) -> bool:
-    scale = max(1.0, operator_norm(rhs))
-    return operator_norm(lhs - rhs) <= tol.eps_abs + 10 * tol.snap_eps * scale
+    def bound(scale: float) -> float:
+        return tol.eps_abs + 10 * tol.snap_eps * scale
+    return _norm_gate(_diff_blocks(lhs.blocks, rhs.blocks), bound(1.0),
+                      lambda: bound(max(1.0, operator_norm(rhs))))
 
 
 def divide(a: Element, b: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:

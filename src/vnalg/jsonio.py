@@ -77,8 +77,11 @@ def map_from_json(data: Any) -> LinMap:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical JSON: sorted keys, no whitespace, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON: sorted keys, no whitespace, trailing newline; NaN or inf is NotFinite."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:
+        raise NotFinite("the result has a NaN or infinite entry") from None
 
 
 def loads(text: str) -> Any:

@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
-                      _diff_blocks, _eigh, _eigvalsh, _fro_within, _norm_gate, _unit_index,
-                      adjoint, equal, is_positive, mul, operator_norm, orthosupplement,
-                      symmetrize)
+                      _diff_blocks, _eigh, _eigvalsh, _fro_within, _max_norm, _norm_gate,
+                      _unit_index, adjoint, equal, is_positive, mul, operator_norm,
+                      orthosupplement, symmetrize)
 from .errors import NotFinite, NotPositive, ShapeMismatch
 from .projections import (ceiling, central_support, left_mult_matrix,
                           projection_family, right_mult_matrix, snap_projection,
@@ -191,11 +191,10 @@ def maps_equal(f: LinMap, g: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool
     """Operator-norm distance of the basis-action matrices within tolerance."""
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    if f.dom.dim == 0:
-        return True
-    nf = float(np.linalg.norm(f.matrix, 2))
-    ng = float(np.linalg.norm(g.matrix, 2))
-    return float(np.linalg.norm(f.matrix - g.matrix, 2)) <= tol.threshold(max(nf, ng))
+    _require_finite(f.matrix)
+    _require_finite(g.matrix)
+    return _norm_gate([f.matrix - g.matrix], tol.threshold(),
+                      lambda: tol.threshold(_max_norm([f.matrix, g.matrix])))
 
 
 def _unit_image(f: LinMap) -> Element:
@@ -231,7 +230,7 @@ def _require_finite(m: np.ndarray) -> None:
 def _finite_norm(m: np.ndarray) -> float:
     """The operator norm of m; NotFinite rather than an SVD of a non-finite m."""
     _require_finite(m)
-    return float(np.linalg.norm(m, 2))
+    return _max_norm([m])
 
 
 def _any_over(stacks: list[np.ndarray], count: int, tol: ToleranceConfig, scale) -> bool:
@@ -321,13 +320,13 @@ def min_choi_eigenvalue(f: LinMap) -> float:
 
 def is_completely_positive(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     for cb in choi_blocks(f):
-        if cb.matrix.size == 0:
-            continue
         m = cb.matrix
-        scale = _finite_norm(m)
-        if float(np.linalg.norm(m - m.conj().T, 2)) > tol.threshold(scale):
+        _require_finite(m)
+        scale = functools.cache(lambda: _max_norm([m]))
+        if not _norm_gate([m - m.conj().T], tol.threshold(), lambda: tol.threshold(scale())):
             return False
-        if float(_eigvalsh(m).min()) < tol.positivity_floor(scale):
+        low = float(_eigvalsh(m).min(initial=np.inf))
+        if low < tol.positivity_floor() and low < tol.positivity_floor(scale()):
             return False
     return True
 

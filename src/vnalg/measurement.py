@@ -18,13 +18,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, _eigvalsh,
-                      _norm_gate, adjoint, equal, imag_part, is_effect, is_positive, mul,
-                      operator_norm, orthosupplement, symmetrize)
+                      _max_norm, _norm_gate, adjoint, equal, imag_part, is_effect,
+                      is_positive, mul, operator_norm, orthosupplement, symmetrize)
 from .errors import (CarrierViolated, FilterBoundViolated, NotEffect,
                      NotPositive, PostconditionViolated, ShapeMismatch)
-from .maps import (LinMap, _sandwich_matrix, _unit_image, apply, are_contraposed, carrier,
-                   compose, conjugation_map, density, is_completely_positive, is_unital,
-                   make_map, maps_equal, mult_map, trace_functional)
+from .maps import (LinMap, _require_finite, _sandwich_matrix, _unit_image, apply,
+                   are_contraposed, carrier, compose, conjugation_map, density,
+                   is_completely_positive, is_unital, make_map, maps_equal, mult_map,
+                   trace_functional)
 from .projections import ceiling, certify_projection, floor
 from .division import pseudoinverse
 from .sampling import random_effect, random_projection
@@ -136,10 +137,11 @@ def factor_through_filter(f: LinMap, d: Element,
 def factor_through_corner(f: LinMap, e: Element,
                           tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     """Unique g with f = g o (compression by e), given f vanishes under e."""
+    def bound(scale: float) -> float:  # the usual threshold, widened 100 times
+        return tol.eps_abs + 100 * tol.eps_rel * scale
+    _require_finite(f.matrix)
     img = apply(f, orthosupplement(e))
-    # the usual threshold, widened 100 times
-    scale = max(1.0, float(np.linalg.norm(f.matrix, 2)))
-    if operator_norm(img) > tol.eps_abs + 100 * tol.eps_rel * scale:
+    if not _norm_gate(img.blocks, bound(1.0), lambda: bound(max(1.0, _max_norm([f.matrix])))):
         raise CarrierViolated("f does not vanish on the complement of e")
     ctx = corner_algebra(e, tol)
     return compose(f, ctx.embed)
@@ -177,7 +179,7 @@ def is_pure(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """
     if not is_completely_positive(f, tol):
         return False
-    if operator_norm(_unit_image(f)) <= tol.eps_abs:
+    if _norm_gate(_unit_image(f).blocks, tol.eps_abs, lambda: tol.eps_abs):
         # The zero map factors through the zero corner.
         return True
     br = bracket(f, tol)

@@ -211,21 +211,20 @@ def centre(algebra: FdAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 def central_support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Smallest central projection z with z a = a: the nonzero-block indicator."""
-    thr = tol.threshold(operator_norm(a))
     blocks = []
     for b in a.blocks:
-        on = float(np.linalg.norm(b, 2)) > thr if b.size else False
-        blocks.append(np.eye(b.shape[0]) if on else np.zeros(b.shape))
+        zero = _norm_gate([b], tol.threshold(), lambda: tol.threshold(operator_norm(a)))
+        blocks.append(np.zeros(b.shape) if zero else np.eye(b.shape[0]))
     return a.algebra.element(blocks)
 
 
 def is_central(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Each block a scalar multiple of the block identity."""
-    thr = tol.threshold(operator_norm(a))
     for b in a.blocks:
         n = b.shape[0]
         lam = np.trace(b) / n
-        if float(np.linalg.norm(b - lam * np.eye(n), 2)) > thr:
+        if not _norm_gate([b - lam * np.eye(n)], tol.threshold(),
+                          lambda: tol.threshold(operator_norm(a))):
             return False
     return True
 
@@ -261,7 +260,7 @@ def central_support_partition(e: Element,
     e's block into pieces of rank at most rank(e_block).
     """
     _require_projections([e], tol)
-    if operator_norm(e) <= tol.eps_abs:
+    if _norm_gate(e.blocks, tol.eps_abs, lambda: tol.eps_abs):
         raise NotProjection("central_support_partition needs a nonzero projection")
     alg = e.algebra
     pieces: list[Element] = []

@@ -13,12 +13,12 @@ that a function cannot separate numerically split degenerate eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, _FRO_MARGIN, Element, ToleranceConfig, _diff_blocks,
-                      _eigh, _eigvalsh, _norm_gate, is_positive, is_self_adjoint, mul,
+                      _eigh, _eigvalsh, _norm_gate, is_positive, is_self_adjoint,
                       operator_norm, symmetrize)
 from .errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive, NotSelfAdjoint
 
@@ -204,42 +204,3 @@ def named_function(name: str) -> Callable[[complex], complex]:
         raise KeyError(f"unknown function name {name!r}")
     return _NAMED[name]
 
-
-def sqrt_iterative(a: Element, iterations: int = 200,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> Element:
-    """Square root through the fixed-point iteration b <- (c + b^2)/2.
-
-    For an effect c the iteration converges to b with (1 - b)^2 = 1 - c.
-    Positive input is rescaled to an effect first.  Kept as an independent
-    cross-check for :func:`sqrt`.
-    """
-    if not is_positive(a, tol):
-        raise NotPositive("sqrt_iterative needs a positive element")
-    norm = operator_norm(a)
-    if norm == 0.0:
-        return a.algebra.zero()
-    scaled = (1.0 / norm) * a
-    c = a.algebra.unit() - scaled
-    b = a.algebra.zero()
-    for _ in range(iterations):
-        b = 0.5 * (c + mul(b, b))
-    return float(np.sqrt(norm)) * (a.algebra.unit() - b)
-
-
-def eigen_oracle_charpoly(matrix: Sequence[Sequence[complex]]) -> list[complex]:
-    """Roots of the characteristic polynomial, for test oracles.
-
-    Independent of the eigensolver route used by :func:`spectrum`: builds
-    the characteristic polynomial coefficients recursively (Faddeev-LeVerrier)
-    and calls the companion-matrix root finder.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    mk = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        coeffs[k] = -np.trace(mk) / k
-        mk += coeffs[k] * np.eye(n)
-    return [complex(r) for r in np.roots(coeffs)]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, add,
-                      adjoint, equal, hs_inner, mul, operator_norm, symmetrize)
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, _norm_gate,
+                      add, adjoint, equal, hs_inner, mul, operator_norm, symmetrize)
 from .division import polar
 from .errors import ClosureViolated, NotCommutative, NotPositive
 from .maps import LinMap, is_positive_functional, make_map
@@ -43,10 +43,10 @@ class StarSubalgebra:
         return _combination(self.ambient, self.project_coords(a), self.basis)
 
     def contains(self, a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        resid = a - self.project(a)
-        # the usual threshold, widened 1000 times
-        scale = max(1.0, operator_norm(a))
-        return operator_norm(resid) <= tol.eps_abs + 1e3 * tol.eps_rel * scale
+        def bound(scale: float) -> float:  # the usual threshold, widened 1000 times
+            return tol.eps_abs + 1e3 * tol.eps_rel * scale
+        return _norm_gate((a - self.project(a)).blocks, bound(1.0),
+                          lambda: bound(max(1.0, operator_norm(a))))
 
 
 def _combination(ambient: FdAlgebra, coeffs, elements) -> Element:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag, add,
-                      adjoint, equal, is_positive, leq, make_algebra, mul,
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
+                      _norm_gate, add, adjoint, equal, is_positive, leq, make_algebra, mul,
                       operator_norm, orthosupplement, scalar_mul)
 from .division import (approximate_pseudoinverse, divide, douglas_lambda, polar)
 from .maps import (LinMap, apply, carrier, central_carrier, compose,
@@ -39,7 +39,7 @@ MIU_TOL = ToleranceConfig(eps_rel=1e-8, eps_abs=1e-10, snap_eps=1e-7)
 def _close(d: Element, ref: Element, rel: float) -> bool:
     """The battery's relative check: ||d|| <= rel * (1 + ||ref||).  It is not
     ``ToleranceConfig.threshold``, which at ||ref|| = 1 is about half as wide."""
-    return operator_norm(d) <= rel * (1.0 + operator_norm(ref))
+    return _norm_gate(d.blocks, rel, lambda: rel * (1.0 + operator_norm(ref)))
 
 
 def _counts(level: str) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig,
                       _unit_index, direct_sum, is_positive)
 from .errors import AlgebraMismatch, ShapeMismatch
-from .maps import LinMap, apply, block_projection, compose
+from .maps import LinMap, apply, block_projection, compose, identity_map
 from . import sampling
 
 
@@ -85,16 +85,10 @@ def associator(a: FdAlgebra, b: FdAlgebra, c: FdAlgebra) -> LinMap:
     """a (x) (b (x) c) -> (a (x) b) (x) c.
 
     With the lexicographic block order and strict Kronecker products the two
-    sides coincide coordinatewise, so the associator is the identity matrix
-    between the two (equal) realized algebras.
+    sides coincide coordinatewise: both list the blocks n*m*k in the order of
+    (n, m, k), so the associator is the identity matrix of that one algebra.
     """
-    inner = tensor_algebra(b, c)
-    lhs = tensor_algebra(a, inner.product)
-    outer = tensor_algebra(a, b)
-    rhs = tensor_algebra(outer.product, c)
-    if lhs.product != rhs.product:
-        raise AlgebraMismatch("tensor realization is not associative")
-    return LinMap(lhs.product, rhs.product, np.eye(lhs.product.dim, dtype=complex))
+    return identity_map(tensor_algebra(a, tensor_algebra(b, c).product).product)
 
 
 def braiding(a: FdAlgebra, b: FdAlgebra) -> LinMap:

@@ -9,6 +9,11 @@ Kronecker products of ``LinMap.matrix``; the differential tests in
 The gate functions decide each tolerance test by an SVD of every block, the
 definition the library settles by a Frobenius bound where it can; the tests
 in ``test_norm_gates.py`` hold the two to the same verdicts and exceptions.
+The same holds for the norm tests of the other modules, kept below as they
+read before they went through ``algebra._norm_gate``.
+
+``sqrt_iterative`` and ``eigen_oracle_charpoly`` compute roots and
+eigenvalues without an eigensolver, for ``test_spectral.py``.
 
 The ``*_symmetrized`` functions feed the Hermitian eigensolvers
 ``symmetrize(a)`` where the library passes raw blocks to ``algebra._eigh``;
@@ -20,11 +25,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _unit_index, adjoint,
-                          direct_sum, mul, operator_norm, symmetrize)
+from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _unit_index, adjoint,
+                          direct_sum, mul, operator_norm, orthosupplement, symmetrize)
+from vnalg.algebra import is_positive as lib_is_positive
 from vnalg.algebra import is_self_adjoint as lib_is_self_adjoint
-from vnalg.errors import NotFinite, NotNormal
-from vnalg.maps import LinMap, apply, make_map
+from vnalg.errors import CarrierViolated, NotFinite, NotNormal, NotPositive, NotProjection
+from vnalg.maps import LinMap, _unit_image, apply, compose, is_unital, make_map
+from vnalg.maps import choi_blocks as lib_choi_blocks
+from vnalg.measurement import bracket, corner_algebra
+from vnalg.projections import _require_projections
 from vnalg.spectral import _apply_block
 from vnalg.spectral import is_normal as lib_is_normal
 from vnalg.tensor import tensor_algebra, tensor_elements
@@ -334,3 +343,171 @@ def functional_calculus_symmetrized(a, f, tol=DEFAULT_TOL):
     return a.algebra.element(_apply_block(b, f, lambda d: d <= tol.snap_eps or (
         d <= high and d <= tol.snap_eps * max(1.0, operator_norm(a))), hermitian)
         for b in src.blocks)
+
+
+# ---------------------------------------------------------------------------
+# the norm tests of the other modules, with an SVD of every operand computed
+# up front.  Where the old test read "norm > threshold", it is spelled
+# "not norm <= threshold" here: an infinite entry gives a NaN norm, which the
+# old comparison read as within the threshold and the gate reads as over it.
+
+def _finite_norm(m):
+    if not np.isfinite(m).all():
+        raise NotFinite("the map has a non-finite entry")
+    return float(np.linalg.norm(m, 2))
+
+
+def maps_equal(f, g, tol=DEFAULT_TOL):
+    if f.dom != g.dom or f.cod != g.cod:
+        return False
+    refuse_non_finite(f)
+    refuse_non_finite(g)
+    if f.dom.dim == 0:
+        return True
+    nf = float(np.linalg.norm(f.matrix, 2))
+    ng = float(np.linalg.norm(g.matrix, 2))
+    return float(np.linalg.norm(f.matrix - g.matrix, 2)) <= tol.threshold(max(nf, ng))
+
+
+def is_completely_positive(f, tol=DEFAULT_TOL):
+    for cb in lib_choi_blocks(f):
+        if cb.matrix.size == 0:
+            continue
+        m = cb.matrix
+        scale = _finite_norm(m)
+        if float(np.linalg.norm(m - m.conj().T, 2)) > tol.threshold(scale):
+            return False
+        if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < tol.positivity_floor(scale):
+            return False
+    return True
+
+
+def central_support(a, tol=DEFAULT_TOL):
+    thr = tol.threshold(svd_norm(a))
+    blocks = []
+    for b in a.blocks:
+        on = not float(np.linalg.norm(b, 2)) <= thr
+        blocks.append(np.eye(b.shape[0]) if on else np.zeros(b.shape))
+    return a.algebra.element(blocks)
+
+
+def is_central(a, tol=DEFAULT_TOL):
+    thr = tol.threshold(svd_norm(a))
+    for b in a.blocks:
+        n = b.shape[0]
+        lam = np.trace(b) / n
+        if not float(np.linalg.norm(b - lam * np.eye(n), 2)) <= thr:
+            return False
+    return True
+
+
+def central_support_partition(e, tol=DEFAULT_TOL):
+    _require_projections([e], tol)
+    if svd_norm(e) <= tol.eps_abs:
+        raise NotProjection("central_support_partition needs a nonzero projection")
+    pieces = []
+    for i, b in enumerate(e.blocks):
+        n = b.shape[0]
+        vals, vecs = _eigh(b)
+        r = int(np.sum(vals > 0.5))
+        if r == 0:
+            continue
+        for start in range(0, n, r):
+            cols = vecs[:, start:start + r]
+            pieces.append(e.algebra._block_element(i, cols @ cols.conj().T))
+    return pieces
+
+
+def pseudoinverse(a, tol=DEFAULT_TOL):
+    blocks = []
+    for b in a.blocks:
+        if float(np.linalg.norm(b, 2)) <= tol.eps_abs:
+            blocks.append(np.zeros_like(b))
+            continue
+        blocks.append(np.linalg.pinv(b, rcond=tol.snap_eps))
+    return a.algebra.element(blocks)
+
+
+def reconstruction_ok(lhs, rhs, tol=DEFAULT_TOL):
+    scale = max(1.0, svd_norm(rhs))
+    return svd_norm(lhs - rhs) <= tol.eps_abs + 10 * tol.snap_eps * scale
+
+
+def factor_through_corner(f, e, tol=DEFAULT_TOL):
+    refuse_non_finite(f)
+    img = apply(f, orthosupplement(e))
+    scale = max(1.0, float(np.linalg.norm(f.matrix, 2)))
+    if not svd_norm(img) <= tol.eps_abs + 100 * tol.eps_rel * scale:
+        raise CarrierViolated("f does not vanish on the complement of e")
+    return compose(f, corner_algebra(e, tol).embed)
+
+
+def is_pure(f, tol=DEFAULT_TOL):
+    if not is_completely_positive(f, tol):
+        return False
+    if svd_norm(_unit_image(f)) <= tol.eps_abs:
+        return True
+    br = bracket(f, tol)
+    if not is_unital(br, tol):
+        return False
+    if br.dom.dim != br.cod.dim:
+        return False
+    if br.dom.dim == 0:
+        return True
+    svals = np.linalg.svd(br.matrix, compute_uv=False)
+    if svals[-1] < tol.snap_eps:
+        return False
+    return is_completely_positive(LinMap(br.cod, br.dom, np.linalg.inv(br.matrix)), tol)
+
+
+def contains(sub, a, tol=DEFAULT_TOL):
+    """``StarSubalgebra.contains``."""
+    resid = a - sub.project(a)
+    scale = max(1.0, svd_norm(a))
+    return svd_norm(resid) <= tol.eps_abs + 1e3 * tol.eps_rel * scale
+
+
+def close(d, ref, rel):
+    """The acceptance battery's relative check."""
+    return svd_norm(d) <= rel * (1.0 + svd_norm(ref))
+
+
+# ---------------------------------------------------------------------------
+# roots and eigenvalues without an eigensolver
+
+def sqrt_iterative(a, iterations=200, tol=DEFAULT_TOL):
+    """Square root through the fixed-point iteration b <- (c + b^2)/2.
+
+    For an effect c the iteration converges to b with (1 - b)^2 = 1 - c.
+    Positive input is rescaled to an effect first.
+    """
+    if not lib_is_positive(a, tol):
+        raise NotPositive("sqrt_iterative needs a positive element")
+    norm = operator_norm(a)
+    if norm == 0.0:
+        return a.algebra.zero()
+    scaled = (1.0 / norm) * a
+    c = a.algebra.unit() - scaled
+    b = a.algebra.zero()
+    for _ in range(iterations):
+        b = 0.5 * (c + mul(b, b))
+    return float(np.sqrt(norm)) * (a.algebra.unit() - b)
+
+
+def eigen_oracle_charpoly(matrix):
+    """Roots of the characteristic polynomial.
+
+    Independent of the eigensolver route used by ``spectrum``: builds the
+    characteristic polynomial coefficients recursively (Faddeev-LeVerrier)
+    and calls the companion-matrix root finder.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0]
+    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs[0] = 1.0
+    mk = np.eye(n, dtype=complex)
+    for k in range(1, n + 1):
+        mk = m @ mk
+        coeffs[k] = -np.trace(mk) / k
+        mk += coeffs[k] * np.eye(n)
+    return [complex(r) for r in np.roots(coeffs)]

@@ -115,8 +115,10 @@ REQUIRED = {"check-axioms": ["--op", "std", "--algebra", "2"], "dup-check": ["--
 @pytest.mark.parametrize("name", sorted(n for n, opts in OPTIONS.items() if "--tol" in opts))
 def test_a_bad_tol_is_a_usage_error_before_the_payload_is_read(name):
     # The payload [] is malformed too, so a handler that read it first would
-    # report the payload instead.
-    code, out = run_cli([name, *REQUIRED.get(name, []), "--tol", "0"], "[]")
-    assert code == 1
-    err = json.loads(out)
-    assert err["error"] == "ParseError" and "--tol" in err["message"], err
+    # report the payload instead.  A tolerance of 1 or more would make every
+    # element equal to 0.
+    for value in ("0", "nan", "inf", "1", "1e300"):
+        code, out = run_cli([name, *REQUIRED.get(name, []), "--tol", value], "[]")
+        assert code == 1
+        err = json.loads(out)
+        assert err["error"] == "ParseError" and "--tol" in err["message"], (value, err)

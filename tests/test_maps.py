@@ -22,8 +22,8 @@ from vnalg.errors import NotFinite, NotPositive, ShapeMismatch
 from vnalg.maps import (LinMap, block_projection, cp_from_kraus,
                         random_cp_map, random_cpu_map, random_state,
                         scalar_value, zero_map, are_contraposed, are_equivalent)
-from vnalg.measurement import (bracket, chevron, factor_through_filter, is_diamond_positive,
-                               is_pure)
+from vnalg.measurement import (bracket, chevron, factor_through_corner, factor_through_filter,
+                               is_diamond_positive, is_pure)
 from vnalg.projections import projection_family
 from vnalg.sampling import (random_element, random_positive, random_projection,
                             random_self_adjoint, random_unitary)
@@ -420,13 +420,27 @@ def factor_through_filter_by_2(f):
     return factor_through_filter(f, 2.0 * f.dom.unit())
 
 
+def factor_through_corner_of_1(f):
+    return factor_through_corner(f, f.dom.unit())
+
+
+def maps_equal_to_itself(f):
+    return maps_equal(f, f)
+
+
+def maps_equal_to_the_identity(f):
+    return maps_equal(f, identity_map(f.dom))
+
+
 POISON_VALUES = [np.inf, np.nan, complex(0.0, -np.inf)]
 
 
 @pytest.mark.parametrize("predicate", [is_involutive, is_multiplicative,
                                        is_completely_positive, min_choi_eigenvalue,
                                        is_unital, is_subunital, is_miu,
-                                       is_diamond_positive, factor_through_filter_by_2])
+                                       is_diamond_positive, factor_through_filter_by_2,
+                                       factor_through_corner_of_1, maps_equal_to_itself,
+                                       maps_equal_to_the_identity])
 @pytest.mark.parametrize("value", POISON_VALUES)
 @pytest.mark.parametrize("kind", ["identity", "cp"])
 def test_non_finite_maps_raise_not_finite_before_lapack(predicate, value, kind, capfd):
@@ -440,7 +454,9 @@ def test_non_finite_maps_raise_not_finite_before_lapack(predicate, value, kind, 
 @pytest.mark.parametrize("predicate", [is_unital, is_subunital, is_miu, is_involutive,
                                        is_multiplicative, is_completely_positive,
                                        min_choi_eigenvalue, carrier, is_diamond_positive,
-                                       factor_through_filter_by_2, bracket, chevron, is_pure])
+                                       factor_through_filter_by_2, bracket, chevron, is_pure,
+                                       factor_through_corner_of_1, maps_equal_to_itself,
+                                       maps_equal_to_the_identity])
 def test_unit_image_predicates_warn_nothing_on_non_finite_maps(predicate):
     # f(1) of a map with an infinite entry meets 0 * inf, and the stacked
     # differences of the map predicates meet inf - inf; numpy's warning about

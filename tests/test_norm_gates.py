@@ -4,7 +4,10 @@ A gate passes with no SVD when every block's Frobenius norm clears the
 threshold by a margin.  These tests require the verdict (or the exception)
 of an SVD of every block, as ``loop_oracles`` decides it: at scales 1e-8, 1
 and 1e8; at 0.5x, (1 -+ 1e-12)x and 2x each threshold; on rank-one defects,
-where ||x||_2 = ||x||_F; and with NaN and inf entries.  The last tests pin
+where ||x||_2 = ||x||_F; and with NaN and inf entries.  The norm tests of
+the other modules (map equality and complete positivity, central supports,
+zero tests, reconstruction and membership checks, the battery's relative
+check) are held to their old SVD bodies the same way.  The last tests pin
 the work the gates, the unchecked arithmetic constructor and the square-root
 memo save, as SVD and eigh counts.
 """
@@ -22,13 +25,19 @@ import loop_oracles as oracle
 from vnalg import (adjoint, conjugation_map, equal, functional_calculus, is_involutive,
                    is_multiplicative, is_positive, is_self_adjoint, make_algebra,
                    operator_norm, seq_product, sqrt)
-from vnalg.algebra import DEFAULT_TOL, ToleranceConfig, symmetrize
+from vnalg.algebra import DEFAULT_TOL, Element, ToleranceConfig, symmetrize
+from vnalg.division import _reconstruction_ok, pseudoinverse
 from vnalg.errors import NotPositive
-from vnalg.maps import LinMap
-from vnalg.measurement import _below_complement
-from vnalg.projections import is_projection
+from vnalg.maps import (LinMap, choi_blocks, is_completely_positive, maps_equal,
+                        random_cp_map)
+from vnalg.measurement import _below_complement, factor_through_corner, is_pure
+from vnalg.projections import (central_support, central_support_partition, centre,
+                               is_central, is_projection)
 from vnalg.sampling import random_effect, random_projection, random_unitary
 from vnalg.spectral import is_normal
+from vnalg.structure import StarSubalgebra
+from vnalg.suite import _close
+from vnalg.tensor import tensor_algebra
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=20)
 TOL = DEFAULT_TOL
@@ -275,13 +284,185 @@ def test_map_gates_match_svd_on_an_infinite_block_beside_a_defect():
 
 
 # ---------------------------------------------------------------------------
+# the norm tests of the other modules
+
+def same(x, y) -> bool:
+    """Equal outcomes: the same exception type, or results with the same bytes."""
+    if isinstance(x, Element) and isinstance(y, Element):
+        return x.algebra == y.algebra and all(
+            p.tobytes() == q.tobytes() for p, q in zip(x.blocks, y.blocks))
+    if isinstance(x, LinMap) and isinstance(y, LinMap):
+        return (x.dom, x.cod) == (y.dom, y.cod) and x.matrix.tobytes() == y.matrix.tobytes()
+    if isinstance(x, list) and isinstance(y, list):
+        return len(x) == len(y) and all(same(p, q) for p, q in zip(x, y))
+    return type(x) is type(y) and x == y
+
+
+def agree_bytes(got, want, *args):
+    assert same(outcome(got, *args), outcome(want, *args))
+
+
+def defect(n, rng, size, traceless=False):
+    """size * uv* for unit vectors u and v, so of norm size; with v orthogonal
+    to u, and so of trace 0, when asked (and n > 1)."""
+    u, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    u /= np.linalg.norm(u)
+    if traceless and n > 1:
+        v -= np.vdot(u, v) * u
+    return size * np.outer(u, (v / np.linalg.norm(v)).conj())
+
+
+def with_block(alg, blocks, i, block):
+    return alg.element([block if j == i else b for j, b in enumerate(blocks)])
+
+
+@SETTINGS
+@given(dims, scales, seeds)
+def test_maps_equal_matches_svd_at_threshold(alg, scale, seed):
+    rng = np.random.default_rng(seed)
+    f = _conjugation(alg, rng, scale)
+    thr = TOL.threshold(float(np.linalg.norm(f.matrix, 2)))
+    for k in rng.integers(alg.dim, size=2):
+        for factor in FACTORS:
+            g = _with_image_entry(f, k, factor * thr)
+            assert maps_equal(f, g) == oracle.maps_equal(f, g)
+            assert maps_equal(g, f) == oracle.maps_equal(g, f)
+
+
+@SETTINGS
+@given(dims, scales, seeds)
+def test_is_completely_positive_matches_svd_at_threshold(alg, scale, seed):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(alg, rng)
+    f = scale * conjugation_map(u)
+    i = int(rng.integers(alg.num_blocks))
+    norm = float(np.linalg.norm(choi_blocks(f)[i].matrix, 2))
+    # v is Hilbert-Schmidt orthogonal to u in block i, so that the Choi block i
+    # of f - t conj(v) has the one negative eigenvalue -t.
+    x = defect(alg.dims[i], rng, 1.0)
+    x -= np.vdot(u.blocks[i], x) / alg.dims[i] * u.blocks[i]
+    v = alg._block_element(i, x / max(np.linalg.norm(x), 1e-300))
+    for factor in FACTORS:
+        g = f + (-factor * TOL.eps_rel * max(1.0, norm)) * conjugation_map(v)
+        assert is_completely_positive(g) == oracle.is_completely_positive(g)
+        h = _with_image_entry(f, rng.integers(alg.dim), 1j * factor * TOL.threshold(norm))
+        assert is_completely_positive(h) == oracle.is_completely_positive(h)
+
+
+@SETTINGS
+@given(dims, scales, seeds)
+def test_central_tests_match_svd_at_threshold(alg, scale, seed):
+    rng = np.random.default_rng(seed)
+    i, _, blocks = rank_one(alg, rng, scale)
+    norm = max((np.linalg.norm(b, 2) for j, b in enumerate(blocks) if j != i), default=0.0)
+    lams = scale * rng.uniform(0.5, 1.0, alg.num_blocks)
+    central = [lam * np.eye(n) for lam, n in zip(lams, alg.dims)]
+    for factor in FACTORS:
+        # block i alone is small: a rank-one block at factor times the threshold
+        a = with_block(alg, blocks, i, defect(alg.dims[i], rng, factor * TOL.threshold(norm)))
+        agree_bytes(central_support, oracle.central_support, a)
+        c = with_block(alg, central, i, central[i] + defect(
+            alg.dims[i], rng, factor * TOL.threshold(max(lams)), traceless=True))
+        assert is_central(c) == oracle.is_central(c)
+
+
+@SETTINGS
+@given(dims, scales, seeds)
+def test_zero_tests_match_svd_at_eps_abs(alg, scale, seed):
+    rng = np.random.default_rng(seed)
+    i, u, blocks = rank_one(alg, rng, scale)
+    w = random_unitary(make_algebra([alg.dims[i]]), rng).blocks[0]
+    p = np.diag(np.eye(alg.dims[i])[0])
+    # a pinching after a unitary: not pure when block i is M2 or larger
+    pinching = conjugation_map(alg._block_element(i, p @ w)) + conjugation_map(
+        alg._block_element(i, (np.eye(alg.dims[i]) - p) @ w))
+    for factor in FACTORS:
+        size = factor * TOL.eps_abs
+        agree_bytes(pseudoinverse, oracle.pseudoinverse,
+                    with_block(alg, blocks, i, defect(alg.dims[i], rng, size)))
+        e = alg._block_element(i, size * np.outer(u, u.conj()))
+        agree_bytes(central_support_partition, oracle.central_support_partition, e)
+        # f(1) = size * 1 in block i
+        f = size * pinching
+        agree_bytes(is_pure, oracle.is_pure, f)
+
+
+@SETTINGS
+@given(dims, scales, seeds, st.sampled_from([1e-8, 1e-9]))
+def test_widened_and_relative_bounds_match_svd_at_threshold(alg, scale, seed, rel):
+    rng = np.random.default_rng(seed)
+    i, _, blocks = rank_one(alg, rng, scale)
+    ref = alg.element(blocks)
+    norm = oracle.svd_norm(ref)
+    lams = scale * rng.uniform(0.5, 1.0, alg.num_blocks)
+    lams[0] = scale
+    central = alg.element(lam * np.eye(n) for lam, n in zip(lams, alg.dims))
+    sub = StarSubalgebra(alg, centre(alg).basis)
+    for factor in FACTORS:
+        size = factor * (TOL.eps_abs + 10 * TOL.snap_eps * max(1.0, norm))
+        lhs = ref + alg._block_element(i, defect(alg.dims[i], rng, size))
+        assert _reconstruction_ok(lhs, ref, TOL) == oracle.reconstruction_ok(lhs, ref, TOL)
+        size = factor * (TOL.eps_abs + 1e3 * TOL.eps_rel * max(1.0, scale))
+        a = central + alg._block_element(i, defect(alg.dims[i], rng, size, traceless=True))
+        assert sub.contains(a) == oracle.contains(sub, a)
+        d = alg._block_element(i, defect(alg.dims[i], rng, factor * rel * (1.0 + norm)))
+        assert _close(d, ref, rel) == oracle.close(d, ref, rel)
+
+
+@SETTINGS
+@given(dims, scales, seeds)
+def test_factor_through_corner_matches_svd_at_threshold(alg, scale, seed):
+    rng = np.random.default_rng(seed)
+    e = random_projection(alg, rng)
+    u, w = random_unitary(alg, rng), random_unitary(alg, rng)
+    f = scale * conjugation_map(e @ u)
+    thr = TOL.eps_abs + 100 * TOL.eps_rel * max(1.0, float(np.linalg.norm(f.matrix, 2)))
+    for factor in FACTORS:
+        # g(1 - e) = t w*(1 - e)w, of norm t unless e = 1
+        g = f + factor * thr * conjugation_map((alg.unit() - e) @ w)
+        agree_bytes(factor_through_corner, oracle.factor_through_corner, g, e)
+
+
+@SETTINGS
+@given(dims, scales, seeds, poison)
+def test_other_norm_tests_match_svd_on_non_finite_entries(alg, scale, seed, bad):
+    rng = np.random.default_rng(seed)
+    h = alg.element(hermitian_blocks(alg, rng, scale))
+    a = with_entry(h, *bad, rng)
+    for got, want in ((central_support, oracle.central_support),
+                      (is_central, oracle.is_central),
+                      (central_support_partition, oracle.central_support_partition)):
+        agree_bytes(got, want, a)
+    if np.isnan(bad[0]):
+        # numpy's pinv of a block with an infinite entry can spin in LAPACK's
+        # SVD and never return, in the library and in the oracle alike
+        agree_bytes(pseudoinverse, oracle.pseudoinverse, a)
+    for x, y in ((a, h), (h, a)):
+        agree(lambda p, q: _reconstruction_ok(p, q, TOL), oracle.reconstruction_ok, x, y)
+        agree(lambda p, q: _close(p, q, 1e-9), lambda p, q: oracle.close(p, q, 1e-9), x, y)
+    sub = StarSubalgebra(alg, centre(alg).basis)
+    agree(sub.contains, lambda x: oracle.contains(sub, x), a)
+    f = _conjugation(alg, rng, scale)
+    matrix = np.array(f.matrix)
+    value, imag = bad
+    matrix[rng.integers(alg.dim), rng.integers(alg.dim)] = complex(0, value) if imag else value
+    g = LinMap(f.dom, f.cod, matrix)
+    for x, y in ((f, g), (g, f), (g, g)):
+        agree(maps_equal, oracle.maps_equal, x, y)
+    agree(is_completely_positive, oracle.is_completely_positive, g)
+    agree(is_pure, oracle.is_pure, g)
+    agree_bytes(factor_through_corner, oracle.factor_through_corner, g, alg.unit())
+    agree_bytes(factor_through_corner, oracle.factor_through_corner, f, a)
+
+
+# ---------------------------------------------------------------------------
 # the work saved, as counts
 
 @pytest.fixture
 def counts(monkeypatch):
     """Count SVDs (also those inside norm(x, 2)) and Hermitian eigensolves."""
     seen = {"svd": 0, "eigh": 0}
-    inner = sys.modules[np.linalg.norm.__module__]
+    inner = sys.modules[np.linalg.norm._implementation.__module__]
     for name, key in (("svd", "svd"), ("eigh", "eigh"), ("eigvalsh", "eigh")):
         original = getattr(np.linalg, name)
 
@@ -351,3 +532,17 @@ def test_arithmetic_results_are_read_only_and_laid_out_as_copies():
             with pytest.raises(ValueError):
                 b[0, 0] = 1.0
         assert r._norm is None and r._sqrt is None
+
+
+def test_passing_map_tests_run_no_svd(counts):
+    big = tensor_algebra(make_algebra([4]), make_algebra([4])).product
+    f = random_cp_map(big, big, np.random.default_rng(0))
+    assert is_completely_positive(f)
+    assert counts["svd"] == 0
+    assert maps_equal(f, f)
+    assert counts["svd"] == 0
+
+
+def test_is_central_runs_no_svd_on_the_centre(counts):
+    assert all(is_central(z) for z in centre(make_algebra([2, 1, 3])).basis)
+    assert counts["svd"] == 0

@@ -7,7 +7,10 @@
 - the Hermitian and skew parts of an Element are ``symmetrize(x)`` and
   ``imag_part(x)``, never spelled out by hand;
 - the acceptance battery's relative bound rel * (1 + ||ref||) is spelled
-  only in ``suite._close``.
+  only in ``suite._close``;
+- numpy's spectral norm ``norm(x, 2)`` runs only in ``algebra._max_norm``
+  and the stacked ``maps._any_over``, so every norm test goes through
+  ``algebra._norm_gate`` or ``_any_over``.
 
 Only code is scanned: comments and string literals, docstrings included,
 may state a rule.
@@ -87,3 +90,8 @@ def test_element_parts_are_spelled_by_their_functions(pattern):
 def test_the_battery_relative_bound_is_spelled_only_in_its_helper():
     found = sites(r"\* \(1(\.0)? \+ operator_norm\(")
     assert found and found <= lines_of("_close"), sorted(found)
+
+
+def test_spectral_norms_run_only_in_max_norm_and_any_over():
+    found = sites(r"linalg\.norm\(.*, (ord=)?2\b")
+    assert found and found <= lines_of("_max_norm", "_any_over"), sorted(found)

@@ -4,12 +4,13 @@ oracles: characteristic-polynomial roots and the quadratic iteration."""
 import numpy as np
 import pytest
 
+from loop_oracles import eigen_oracle_charpoly, sqrt_iterative
 from vnalg import (absolute, adjoint, add, equal, functional_calculus, leq,
                    make_algebra, mul, neg_part, operator_norm, pos_part, power,
                    scalar_mul, spectral_radius, spectrum, sqrt)
 from vnalg.errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive
 from vnalg.sampling import random_positive, random_unitary
-from vnalg.spectral import eigen_oracle_charpoly, named_function, sqrt_iterative
+from vnalg.spectral import named_function
 
 M2 = make_algebra([2])
 
