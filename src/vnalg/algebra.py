@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, NotFinite
 
 
 @dataclass(frozen=True)
@@ -283,6 +283,12 @@ def hs_inner(a: Element, b: Element) -> complex:
     """Hilbert-Schmidt inner product sum_i tr(a_i* b_i)."""
     _same_algebra(a, b)
     return complex(sum(np.trace(x.conj().T @ y) for x, y in zip(a.blocks, b.blocks)))
+
+
+def _require_finite(m: np.ndarray, what: str = "map") -> None:
+    """Raise NotFinite before LAPACK sees a NaN or infinite entry."""
+    if not np.isfinite(m).all():
+        raise NotFinite(f"the {what} has a non-finite entry")
 
 
 def _max_norm(blocks) -> float:

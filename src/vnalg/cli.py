@@ -17,7 +17,7 @@ from .algebra import (DEFAULT_TOL, ToleranceConfig, make_algebra)
 from .division import divide, douglas_lambda, left_divide, polar, pseudoinverse, seq_quotient
 from .errors import VnalgError
 from .maps import (carrier, choi_blocks, functional_from_density, is_completely_positive,
-                   is_involutive, is_miu, is_multiplicative, is_subunital,
+                   is_involutive, is_multiplicative, is_subunital,
                    is_unital, min_choi_eigenvalue, random_cp_map)
 from .measurement import (bracket, check_axioms, is_pure, named_op, seq_product,
                           standard_corner, standard_filter)
@@ -140,11 +140,11 @@ def cmd_checkmap(args):
     if args.cp or not (args.miu or args.carrier):
         out["cp"] = is_completely_positive(f, tol)
     if args.miu or not (args.cp or args.carrier):
-        out["miu"] = is_miu(f, tol)
         out["unital"] = is_unital(f, tol)
         out["subunital"] = is_subunital(f, tol)
         out["involutive"] = is_involutive(f, tol)
         out["multiplicative"] = is_multiplicative(f, tol)
+        out["miu"] = out["unital"] and out["involutive"] and out["multiplicative"]
     if args.carrier:
         out["carrier"] = jsonio.element_to_json(carrier(f, tol))
     _emit(args, out)

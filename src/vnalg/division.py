@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, _diff_blocks, _eigh,
-                      _norm_gate, adjoint, is_positive, mul, operator_norm)
+                      _norm_gate, _require_finite, adjoint, is_positive, mul, operator_norm)
 from .errors import DivisionUndefined, NotPositive, QuotientUndefined
 from .projections import _rank
 from .spectral import sqrt
@@ -55,6 +55,7 @@ def pseudoinverse(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """
     blocks = []
     for b in a.blocks:
+        _require_finite(b, "element")
         zero = _norm_gate([b], tol.eps_abs, lambda: tol.eps_abs)
         blocks.append(np.zeros_like(b) if zero else np.linalg.pinv(b, rcond=tol.snap_eps))
     return a.algebra.element(blocks)
@@ -158,6 +159,7 @@ def polar(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> PolarParts:
     """a = [a] sqrt(a*a) with [a] the rank-truncated SVD isometry."""
     iso_blocks, mod_blocks = [], []
     for b in a.blocks:
+        _require_finite(b, "element")
         u, s, vh = np.linalg.svd(b)
         r = _rank(s, tol)
         iso_blocks.append(u[:, :r] @ vh[:r])

@@ -26,9 +26,9 @@ import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
                       _diff_blocks, _eigh, _eigvalsh, _fro_within, _max_norm, _norm_gate,
-                      _unit_index, adjoint, equal, is_positive, mul, operator_norm,
-                      orthosupplement, symmetrize)
-from .errors import NotFinite, NotPositive, ShapeMismatch
+                      _require_finite, _unit_index, adjoint, equal, is_positive, mul,
+                      operator_norm, orthosupplement, symmetrize)
+from .errors import NotPositive, ShapeMismatch
 from .projections import (ceiling, central_support, left_mult_matrix,
                           projection_family, right_mult_matrix, snap_projection,
                           support)
@@ -221,12 +221,6 @@ def _image_blocks(cod: FdAlgebra, cols: np.ndarray) -> list[np.ndarray]:
             for off, m in zip(cod.offsets, cod.dims)]
 
 
-def _require_finite(m: np.ndarray) -> None:
-    """Raise NotFinite before LAPACK sees a NaN or infinite entry."""
-    if not np.isfinite(m).all():
-        raise NotFinite("the map has a non-finite entry")
-
-
 def _finite_norm(m: np.ndarray) -> float:
     """The operator norm of m; NotFinite rather than an SVD of a non-finite m."""
     _require_finite(m)
@@ -278,6 +272,12 @@ def is_multiplicative(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def is_miu(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return is_unital(f, tol) and is_involutive(f, tol) and is_multiplicative(f, tol)
+
+
+def _is_bijective(f: LinMap, tol: ToleranceConfig) -> bool:
+    """Square, with least singular value at least snap_eps (or no coordinates)."""
+    return f.dom.dim == f.cod.dim and (
+        f.dom.dim == 0 or bool(np.linalg.svd(f.matrix, compute_uv=False)[-1] >= tol.snap_eps))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, _eigvalsh,
-                      _max_norm, _norm_gate, adjoint, equal, imag_part, is_effect,
-                      is_positive, mul, operator_norm, orthosupplement, symmetrize)
+                      _max_norm, _norm_gate, _require_finite, adjoint, equal, imag_part,
+                      is_effect, is_positive, mul, operator_norm, orthosupplement, symmetrize)
 from .errors import (CarrierViolated, FilterBoundViolated, NotEffect,
                      NotPositive, PostconditionViolated, ShapeMismatch)
-from .maps import (LinMap, _require_finite, _sandwich_matrix, _unit_image, apply,
+from .maps import (LinMap, _is_bijective, _sandwich_matrix, _unit_image, apply,
                    are_contraposed, carrier, compose, conjugation_map, density,
                    is_completely_positive, is_unital, make_map, maps_equal, mult_map,
                    trace_functional)
@@ -183,14 +183,7 @@ def is_pure(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         # The zero map factors through the zero corner.
         return True
     br = bracket(f, tol)
-    if not is_unital(br, tol):
-        return False
-    if br.dom.dim != br.cod.dim:
-        return False
-    if br.dom.dim == 0:
-        return True
-    svals = np.linalg.svd(br.matrix, compute_uv=False)
-    if svals[-1] < tol.snap_eps:
+    if not (is_unital(br, tol) and _is_bijective(br, tol)):
         return False
     inverse = LinMap(br.cod, br.dom, np.linalg.inv(br.matrix))
     return is_completely_positive(inverse, tol)

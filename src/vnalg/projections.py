@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
-                      _diff_blocks, _eigh, _norm_gate, adjoint, is_effect, is_positive,
-                      is_self_adjoint, operator_norm, orthosupplement)
+                      _diff_blocks, _eigh, _norm_gate, _require_finite, adjoint, is_effect,
+                      is_positive, is_self_adjoint, operator_norm, orthosupplement)
 from .errors import NotEffect, NotPositive, NotProjection
 from .sampling import random_projection
 
@@ -132,6 +132,7 @@ def support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """
     blocks = []
     for b in a.blocks:
+        _require_finite(b, "element")
         _, s, vh = np.linalg.svd(b)
         v = vh[:_rank(s, tol)].conj().T
         blocks.append(v @ v.conj().T)
@@ -185,6 +186,14 @@ def right_mult_matrix(s: Element) -> np.ndarray:
     return _block_diag(*[np.kron(np.eye(b.shape[0]), b.T) for b in s.blocks])
 
 
+def _span(stack: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, int]:
+    """The right singular vectors of a stack of rows, and its numerical rank:
+    the number of singular values above snap_radius of the largest (0 for
+    rows of length 0, which have none)."""
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return vh, int(np.sum(s > tol.snap_radius(float(s.max(initial=0.0)))))
+
+
 def commutant(elements: Sequence[Element], within: FdAlgebra,
               tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {a : as = sa for all s}, via stacked commutators."""
@@ -195,12 +204,8 @@ def commutant(elements: Sequence[Element], within: FdAlgebra,
         return Subspace(within, tuple(within.from_coords(v)
                                       for v in np.eye(d, dtype=complex)))
     rows = [left_mult_matrix(s) - right_mult_matrix(s) for s in elements]
-    stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    top = svals[0] if svals.size else 0.0
-    null_dim = d - int(np.sum(svals > tol.snap_radius(top)))
-    basis_vecs = vh[d - null_dim:].conj()
-    return Subspace(within, tuple(within.from_coords(v) for v in basis_vecs))
+    vh, rank = _span(np.vstack(rows), tol)
+    return Subspace(within, tuple(within.from_coords(v) for v in vh[rank:].conj()))
 
 
 def centre(algebra: FdAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:

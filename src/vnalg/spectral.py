@@ -107,29 +107,27 @@ def _apply_block(b: np.ndarray, f: Callable[[complex], complex],
     return vecs @ np.diag(out_vals) @ vecs.conj().T
 
 
+def _calculus(a: Element, f: Callable[[complex], complex], hermitian: bool,
+              tol: ToleranceConfig) -> Element:
+    """functional_calculus on an element its caller has checked normal, and
+    self-adjoint when ``hermitian``."""
+    # The snap radius at scale ||a|| lies between its value at scale 0 and at
+    # the Frobenius bound, so ||a|| is needed only for gaps between the two;
+    # a bound that overflows to inf leaves every such gap to ||a||.
+    low = tol.snap_radius()
+    with np.errstate(over="ignore"):
+        high = tol.snap_radius(float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
+    return Element._wrap(a.algebra, (_apply_block(b, f, lambda d: d <= low or (
+        d <= high and d <= tol.snap_radius(operator_norm(a))), hermitian)
+        for b in a.blocks))
+
+
 def functional_calculus(a: Element, f: Callable[[complex], complex],
                         tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Apply a scalar function to a normal element via diagonalization."""
     if not is_normal(a, tol):
         raise NotNormal("functional calculus needs a normal element")
-    hermitian = is_self_adjoint(a, tol)
-    # The snap radius at scale ||a|| lies between its value at scale 0 and at
-    # the Frobenius bound, so ||a|| is needed only for gaps between the two.
-    low = tol.snap_radius()
-    high = tol.snap_radius(float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
-    return a.algebra.element(_apply_block(b, f, lambda d: d <= low or (
-        d <= high and d <= tol.snap_radius(operator_norm(a))), hermitian)
-        for b in a.blocks)
-
-
-def _clip_sqrt(a: Element, tol: ToleranceConfig) -> Callable[[complex], complex]:
-    def f(lam: complex) -> complex:
-        x = lam.real
-        # the floor at scale 0 bounds the floor at scale ||a|| from above
-        if x < tol.positivity_floor() and x < tol.positivity_floor(operator_norm(a)):
-            raise ValueError(f"negative eigenvalue {x}")
-        return np.sqrt(max(x, 0.0))
-    return f
+    return _calculus(a, f, is_self_adjoint(a, tol), tol)
 
 
 def sqrt(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
@@ -139,7 +137,7 @@ def sqrt(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
         return a._sqrt[1]
     if not is_positive(a, tol):
         raise NotPositive("sqrt needs a positive element")
-    root = functional_calculus(a, _clip_sqrt(a, tol), tol)
+    root = _calculus(a, _NAMED["sqrt"], True, tol)
     object.__setattr__(a, "_sqrt", (tol, root))
     return root
 
@@ -169,14 +167,14 @@ def power(a: Element, alpha: float, tol: ToleranceConfig = DEFAULT_TOL) -> Eleme
     """a**alpha for positive a and alpha > 0, clipping eigenvalue noise at 0."""
     if not is_positive(a, tol):
         raise NotPositive("power needs a positive element")
-    return functional_calculus(a, _pow(alpha), tol)
+    return _calculus(a, _pow(alpha), True, tol)
 
 
 def _self_adjoint_calculus(a: Element, name: str, tol: ToleranceConfig) -> Element:
     """The named function of self-adjoint a, applied to its Hermitian part."""
     if not is_self_adjoint(a, tol):
         raise NotSelfAdjoint("operation needs a self-adjoint element")
-    return functional_calculus(symmetrize(a), _NAMED[name], tol)
+    return _calculus(symmetrize(a), _NAMED[name], True, tol)
 
 
 def absolute(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:

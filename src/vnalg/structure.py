@@ -21,7 +21,7 @@ from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, _
 from .division import polar
 from .errors import ClosureViolated, NotCommutative, NotPositive
 from .maps import LinMap, is_positive_functional, make_map
-from .projections import _spectral_projection, left_mult_matrix
+from .projections import _span, _spectral_projection, left_mult_matrix
 from .spectral import spectrum
 
 
@@ -61,10 +61,8 @@ def _orthonormalize(ambient: FdAlgebra, vectors: list[np.ndarray],
                     tol: ToleranceConfig) -> tuple[Element, ...]:
     if not vectors:
         return ()
-    stack = np.array(vectors)
-    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = svals > tol.snap_radius(float(svals[0]))
-    return tuple(ambient.from_coords(row) for row in vh[: int(np.sum(keep))])
+    vh, rank = _span(np.array(vectors), tol)
+    return tuple(ambient.from_coords(row) for row in vh[:rank])
 
 
 def star_subalgebra(ambient: FdAlgebra, spanning: list[Element],
@@ -145,10 +143,8 @@ def _sub_centre_basis(sub: StarSubalgebra, tol: ToleranceConfig) -> list[Element
         rows.append(np.column_stack([
             (lb @ x.coords()) - (left_mult_matrix(x) @ b.coords())
             for x in sub.basis]))
-    stacked = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    null_dim = k - int(np.sum(svals > tol.snap_radius(float(svals[0]))))
-    return [_combination(sub.ambient, row, sub.basis) for row in vh[k - null_dim:].conj()]
+    vh, rank = _span(np.vstack(rows), tol)
+    return [_combination(sub.ambient, row, sub.basis) for row in vh[rank:].conj()]
 
 
 def _spectral_projections_in_sub(a: Element, tol: ToleranceConfig) -> list[Element]:

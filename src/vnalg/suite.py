@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
-                      _norm_gate, add, adjoint, equal, is_positive, leq, make_algebra, mul,
-                      operator_norm, orthosupplement, scalar_mul)
+                      _norm_gate, add, adjoint, equal, is_effect, is_positive, leq,
+                      make_algebra, mul, operator_norm, orthosupplement, scalar_mul)
 from .division import (approximate_pseudoinverse, divide, douglas_lambda, polar)
-from .maps import (LinMap, apply, carrier, central_carrier, compose,
+from .maps import (LinMap, _is_bijective, apply, carrier, central_carrier, compose,
                    conjugation_map, functional_from_density, identity_map, is_completely_positive,
                    is_miu, make_map, maps_equal, min_choi_eigenvalue, mult_map,
                    random_cp_map, random_cpu_map, random_state, scalar_value,
@@ -390,9 +390,7 @@ def check_duplicability(level: str = "full", seed: int = 17) -> tuple[bool, str]
     dup = duplicator(c3)
     if not is_completely_positive(dup, TOL):
         return False, "classical duplicator is not CP"
-    one_img = apply(dup, dup.dom.unit())
-    if not (is_positive(one_img, TOL)
-            and is_positive(orthosupplement(one_img), TOL)):
+    if not is_effect(apply(dup, dup.dom.unit()), TOL):
         return False, "classical duplicator is not subunital"
     for x in c3.basis():
         if not (equal(apply(dup, _tensor_of(x, c3.unit())), x, TOL)
@@ -408,12 +406,7 @@ def check_duplicability(level: str = "full", seed: int = 17) -> tuple[bool, str]
 
 
 def _bijective_miu(f: LinMap, tol: ToleranceConfig) -> bool:
-    if f.dom.dim != f.cod.dim:
-        return False
-    svals = np.linalg.svd(f.matrix, compute_uv=False)
-    if svals.size and svals[-1] < tol.snap_eps:
-        return False
-    return is_miu(f, tol)
+    return _is_bijective(f, tol) and is_miu(f, tol)
 
 
 def check_monoidal_coherence(level: str = "full", seed: int = 19) -> tuple[bool, str]:

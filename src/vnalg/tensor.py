@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig,
                       _unit_index, direct_sum, is_positive)
 from .errors import AlgebraMismatch, ShapeMismatch
-from .maps import LinMap, apply, block_projection, compose, identity_map
+from .maps import LinMap, apply, block_projection, compose, identity_map, maps_equal
 from . import sampling
 
 
@@ -214,8 +214,7 @@ def factor_through_classical(f: LinMap,
         omega = compose(block_projection(f.cod, y), f)
         matched = None
         for idx, i in enumerate(points):
-            probe = block_projection(f.dom, i)
-            if np.allclose(omega.matrix, probe.matrix, atol=tol.threshold()):
+            if maps_equal(omega, block_projection(f.dom, i), tol):
                 matched = idx
                 break
         if matched is None:

@@ -419,6 +419,9 @@ def central_support_partition(e, tol=DEFAULT_TOL):
 
 
 def pseudoinverse(a, tol=DEFAULT_TOL):
+    if not all(np.isfinite(b).all() for b in a.blocks):
+        # LAPACK's full SVD of a block with an infinite entry can spin forever
+        raise NotFinite("the element has a non-finite entry")
     blocks = []
     for b in a.blocks:
         if float(np.linalg.norm(b, 2)) <= tol.eps_abs:

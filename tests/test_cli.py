@@ -1,20 +1,23 @@
 """Wire-format round trips and the command-line surface."""
 
 import io
-
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vnalg.cli
+import vnalg.maps
 from vnalg import equal, make_algebra, maps_equal, mul
 from vnalg.cli import main
 from vnalg.jsonio import (algebra_from_json, algebra_to_json, dumps,
                           element_from_json, element_to_json, loads,
                           map_from_json, map_to_json)
 from vnalg.maps import conjugation_map, random_cp_map
-from vnalg.sampling import random_element, random_projection
+from vnalg.sampling import random_element, random_projection, random_unitary
 
 M2 = make_algebra([2])
 
@@ -188,6 +191,40 @@ def test_polar_pinv_divide_seqquot_commands():
     one = element_to_json(M2.unit())
     code, out = run_cli(["seqquot"], dumps({"a": eff, "b": one}))
     assert np.allclose(element_from_json(loads(out)).blocks[0], 0.5 * np.eye(2))
+
+
+def test_checkmap_tests_multiplicativity_once(monkeypatch):
+    # miu is read off the unital, involutive and multiplicative verdicts.
+    calls = []
+    real = vnalg.maps.is_multiplicative
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(vnalg.maps, "is_multiplicative", counted)
+    monkeypatch.setattr(vnalg.cli, "is_multiplicative", counted)
+    f = conjugation_map(random_unitary(make_algebra([8]), np.random.default_rng(0)))
+    code, out = run_cli(["checkmap"], dumps(map_to_json(f)))
+    assert (code, loads(out)) == (0, {"cp": True, "miu": True, "unital": True, "subunital": True,
+                                      "involutive": True, "multiplicative": True})
+    assert len(calls) == 1
+
+
+def test_sqrt_and_abs_answer_near_the_float_limit():
+    # a*a overflows on this payload; a fresh process shows any numpy warning
+    # on its stderr.
+    a = M2.element([1e160 * np.array([[2.0, 1.0], [1.0, 2.0]])])
+    root = 1e80 * np.array([[np.sqrt(3) + 1, np.sqrt(3) - 1], [np.sqrt(3) - 1, np.sqrt(3) + 1]]) / 2
+    src = str(Path(vnalg.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for command, want in (("sqrt", root), ("abs", a.blocks[0])):
+        proc = subprocess.run([sys.executable, "-m", "vnalg.cli", command],
+                              input=dumps(element_to_json(a)), capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
+        np.testing.assert_allclose(element_from_json(loads(proc.stdout)).blocks[0], want,
+                                   rtol=1e-14)
 
 
 def test_checkmap_and_choi_commands():

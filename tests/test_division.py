@@ -8,7 +8,7 @@ from vnalg import (adjoint, add, approximate_pseudoinverse, ceiling, divide,
                    make_algebra, mul, mvn_below, operator_norm, polar,
                    pseudoinverse, range_projection, sandwich_divide,
                    seq_quotient, snap_projection, support)
-from vnalg.errors import DivisionUndefined, QuotientUndefined
+from vnalg.errors import DivisionUndefined, NotFinite, QuotientUndefined
 from vnalg.sampling import (random_element, random_positive, random_projection,
                             random_unitary)
 from vnalg.spectral import sqrt
@@ -273,3 +273,15 @@ def test_seq_quotient_undefined_on_disjoint_supports():
     b = M2.element([np.diag([0.0, 1.0])])
     with pytest.raises(QuotientUndefined):
         seq_quotient(a, b)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("fn", [support, polar, pseudoinverse])
+def test_full_svds_refuse_non_finite_blocks(fn, value, capfd):
+    # LAPACK's full SVD of such a block can spin forever (inf) or fail (NaN).
+    rng = np.random.default_rng(0)
+    b = 1e-8 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    b[0, 0] = value
+    with pytest.raises(NotFinite):
+        fn(M3.element([b]))
+    assert capfd.readouterr().err == ""

@@ -96,3 +96,13 @@ def test_subalgebra_basis_must_be_a_list_of_elements(command, basis):
     data = {"ambient": {"dims": [2]}, "basis": basis}
     code, out = run_cli([command], dumps(data))
     assert (code, out["error"]) == (1, "ParseError")
+
+
+@pytest.mark.parametrize("command", ["wedderburn", "gelfand"])
+def test_trivial_ambient_spanned_by_its_zero_element(command):
+    # The zero algebra's one element spans nothing: its coordinate rows have
+    # length 0, and the subalgebra is the one an empty basis gives.
+    zero = {"algebra": {"dims": []}, "blocks": []}
+    spanned = run_cli([command], dumps({"ambient": {"dims": []}, "basis": [zero]}))
+    assert spanned == run_cli([command], dumps({"ambient": {"dims": []}, "basis": []}))
+    assert spanned[0] == 0

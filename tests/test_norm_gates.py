@@ -433,10 +433,7 @@ def test_other_norm_tests_match_svd_on_non_finite_entries(alg, scale, seed, bad)
                       (is_central, oracle.is_central),
                       (central_support_partition, oracle.central_support_partition)):
         agree_bytes(got, want, a)
-    if np.isnan(bad[0]):
-        # numpy's pinv of a block with an infinite entry can spin in LAPACK's
-        # SVD and never return, in the library and in the oracle alike
-        agree_bytes(pseudoinverse, oracle.pseudoinverse, a)
+    agree_bytes(pseudoinverse, oracle.pseudoinverse, a)
     for x, y in ((a, h), (h, a)):
         agree(lambda p, q: _reconstruction_ok(p, q, TOL), oracle.reconstruction_ok, x, y)
         agree(lambda p, q: _close(p, q, 1e-9), lambda p, q: oracle.close(p, q, 1e-9), x, y)

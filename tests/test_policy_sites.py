@@ -10,7 +10,11 @@
   only in ``suite._close``;
 - numpy's spectral norm ``norm(x, 2)`` runs only in ``algebra._max_norm``
   and the stacked ``maps._any_over``, so every norm test goes through
-  ``algebra._norm_gate`` or ``_any_over``.
+  ``algebra._norm_gate`` or ``_any_over``;
+- the numerical span of a stack of vectors (a thin SVD cut at the snap
+  radius of its largest singular value) is taken only in
+  ``projections._span``, and bijectivity (least singular value against
+  snap_eps) is decided only in ``maps._is_bijective``.
 
 Only code is scanned: comments and string literals, docstrings included,
 may state a rule.
@@ -95,3 +99,13 @@ def test_the_battery_relative_bound_is_spelled_only_in_its_helper():
 def test_spectral_norms_run_only_in_max_norm_and_any_over():
     found = sites(r"linalg\.norm\(.*, (ord=)?2\b")
     assert found and found <= lines_of("_max_norm", "_any_over"), sorted(found)
+
+
+def test_numerical_spans_are_taken_only_in_span():
+    found = sites(r"full_matrices=False")
+    assert found and found <= lines_of("_span"), sorted(found)
+
+
+def test_bijectivity_is_decided_only_in_is_bijective():
+    found = sites(r"\[-1\] *[<>]=? *\w+\.snap_eps")
+    assert found and found <= lines_of("_is_bijective"), sorted(found)

@@ -1,14 +1,17 @@
 """Spectra, functional calculus, and roots, checked against independent
 oracles: characteristic-polynomial roots and the quadratic iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import vnalg.spectral
 from loop_oracles import eigen_oracle_charpoly, sqrt_iterative
 from vnalg import (absolute, adjoint, add, equal, functional_calculus, leq,
                    make_algebra, mul, neg_part, operator_norm, pos_part, power,
                    scalar_mul, spectral_radius, spectrum, sqrt)
-from vnalg.errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive
+from vnalg.errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive, NotSelfAdjoint
 from vnalg.sampling import random_positive, random_unitary
 from vnalg.spectral import named_function
 
@@ -167,3 +170,49 @@ def test_degenerate_eigenvalues_cluster_consistently():
     a = M2.element([np.diag([1.0, 1.0 + eps])])
     out = functional_calculus(a, lambda z: 0.0 if z.real < 1.0 + 1e-9 else 100.0)
     assert operator_norm(out) < 1e-9
+
+
+def test_function_not_finite_at_eigenvalue():
+    with pytest.raises(FunctionUndefinedOnSpectrum, match="not finite"):
+        functional_calculus(M2.unit(), lambda z: complex(np.inf))
+
+
+def test_power_rejects_non_positive():
+    with pytest.raises(NotPositive):
+        power(M2.element([np.diag([1.0, -1.0])]), 0.5)
+
+
+@pytest.mark.parametrize("fn", [absolute, pos_part, neg_part])
+def test_abs_and_parts_reject_non_self_adjoint(fn):
+    with pytest.raises(NotSelfAdjoint):
+        fn(M2.element([np.array([[0.0, 2.0], [0.0, 0.0]])]))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_roots_and_parts_near_the_float_limit(scale):
+    # a*a overflows here, so a normality test of a would see inf; the
+    # positivity or self-adjointness check is the only one these need.
+    a = M2.element([scale * np.array([[2.0, 1.0], [1.0, 2.0]])])
+    root = np.sqrt(scale) * np.array([[np.sqrt(3) + 1, np.sqrt(3) - 1],
+                                      [np.sqrt(3) - 1, np.sqrt(3) + 1]]) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {fn.__name__: fn(a) for fn in (sqrt, absolute, pos_part, neg_part)}
+        got["power"] = power(a, 0.5)
+    for name in ("sqrt", "power"):
+        np.testing.assert_allclose(got[name].blocks[0], root, rtol=1e-14)
+    for name in ("absolute", "pos_part"):
+        np.testing.assert_allclose(got[name].blocks[0], a.blocks[0], rtol=1e-14)
+    assert operator_norm(got["neg_part"]) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("fn", [sqrt, lambda a: power(a, 0.25), absolute, pos_part, neg_part],
+                         ids=["sqrt", "power", "absolute", "pos_part", "neg_part"])
+def test_checked_functions_run_no_normality_test(fn, monkeypatch):
+    # Positivity and self-adjointness are checked by each function itself;
+    # a normality test on top of them would only add an overflow risk.
+    calls = []
+    real = vnalg.spectral.is_normal
+    monkeypatch.setattr(vnalg.spectral, "is_normal", lambda *args: calls.append(1) or real(*args))
+    fn(random_positive(make_algebra([3]), np.random.default_rng(0)))
+    assert calls == []

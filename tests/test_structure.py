@@ -62,6 +62,11 @@ def test_star_subalgebra_rejects_non_closed_span():
         star_subalgebra(M2, [M2.unit(), a])  # misses a*
 
 
+def test_star_subalgebra_of_no_elements_misses_the_unit():
+    with pytest.raises(ClosureViolated, match="unit"):
+        star_subalgebra(M2, [])
+
+
 def test_wedderburn_diagonal():
     span = [M3.element([np.diag([1.0, 0, 0])]),
             M3.element([np.diag([0, 1.0, 0])]),

@@ -12,7 +12,7 @@ from vnalg import (adjoint, apply, associator, bang, bang_unit, braiding,
                    snap_projection, tensor_algebra, tensor_elements,
                    tensor_maps)
 from vnalg.errors import AlgebraMismatch
-from vnalg.maps import block_projection, random_cp_map, scalar_value, random_state
+from vnalg.maps import LinMap, block_projection, random_cp_map, scalar_value, random_state
 from vnalg.sampling import random_element, random_positive
 from vnalg.tensor import factor_through_classical
 
@@ -320,6 +320,17 @@ def test_bang_unit_is_miu_and_universal():
     # uniqueness: eta is surjective on coordinates, so the factor is forced
     g2 = factor_through_classical(f)
     assert maps_equal(g, g2)
+
+
+def test_factor_through_classical_uses_map_equality():
+    # One coordinate 5e-6 off a character: close entrywise at a relative 1e-5,
+    # yet neither equal to the character as a map nor miu.
+    eta = bang_unit(make_algebra([2, 1, 1]))
+    m = np.array(eta.matrix)
+    m[0, 4] = 1 + 5e-6
+    f = LinMap(eta.dom, eta.cod, m)
+    assert not is_miu(f) and not maps_equal(f, eta)
+    assert factor_through_classical(f) is None
 
 
 def test_all_ones_tensor_is_all_ones():
