@@ -372,10 +372,8 @@ def _eigvalsh(b: np.ndarray) -> np.ndarray:
 
 
 def is_positive(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Self-adjoint within tolerance with spectrum >= -eps_rel*max(1, ||a||).
-
-    The threshold is relative so that the test is invariant under scaling.
-    """
+    """Self-adjoint within tolerance with spectrum >= -eps_rel*max(1, ||a||): the
+    floor is relative to ||a|| above norm 1 and absolute below it."""
     if not a.blocks:
         return True
     if not is_self_adjoint(a, tol):

@@ -83,7 +83,7 @@ def _spectrum_json(sp):
 
 
 def _elements(payload, key="elements") -> list:
-    elements = payload[key]
+    elements = jsonio._field(payload, key)
     if not isinstance(elements, list):
         raise ValueError(f"'{key}' must be a JSON list")
     return [jsonio.element_from_json(e) for e in elements]
@@ -92,7 +92,7 @@ def _elements(payload, key="elements") -> list:
 def _pair(*keys):
     """The payload reader returning the elements under ``keys``."""
     def read(payload) -> list:
-        return [jsonio.element_from_json(payload[key]) for key in keys]
+        return [jsonio.element_from_json(jsonio._field(payload, key)) for key in keys]
     return read
 
 
@@ -231,7 +231,7 @@ def cmd_bang(args):
 
 def _subalgebra(args):
     payload = _read_payload(args)
-    ambient = jsonio.algebra_from_json(payload["ambient"])
+    ambient = jsonio.algebra_from_json(jsonio._field(payload, "ambient"))
     return star_subalgebra(ambient, _elements(payload, "basis"), args.tol)
 
 

@@ -26,10 +26,15 @@ def algebra_to_json(algebra: FdAlgebra) -> dict:
     return {"dims": list(algebra.dims)}
 
 
+def _field(data: Any, key: str) -> Any:
+    """``data[key]``, or a ValueError naming ``key`` when ``data`` is no dict holding it."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing field '{key}'")
+    return data[key]
+
+
 def algebra_from_json(data: Any) -> FdAlgebra:
-    if not isinstance(data, dict) or "dims" not in data:
-        raise ValueError("algebra JSON needs a 'dims' field")
-    return FdAlgebra(tuple(int(n) for n in data["dims"]))
+    return FdAlgebra(tuple(int(n) for n in _field(data, "dims")))
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
@@ -50,9 +55,9 @@ def element_to_json(a: Element) -> dict:
 
 def element_from_json(data: Any) -> Element:
     try:
-        algebra = algebra_from_json(data["algebra"])
-        blocks = [_matrix_from_json(b) for b in data["blocks"]]
-    except (TypeError, IndexError) as exc:  # a wrong JSON type
+        algebra = algebra_from_json(_field(data, "algebra"))
+        blocks = [_matrix_from_json(b) for b in _field(data, "blocks")]
+    except (TypeError, IndexError, KeyError) as exc:  # a wrong JSON type
         raise ValueError(f"malformed JSON: {exc}") from exc
     if len(blocks) != algebra.num_blocks:
         raise ValueError("block count does not match dims")
@@ -69,8 +74,8 @@ def map_to_json(f: LinMap) -> dict:
 
 def map_from_json(data: Any) -> LinMap:
     try:
-        dom, cod = algebra_from_json(data["dom"]), algebra_from_json(data["cod"])
-        images = [element_from_json(e) for e in data["images"]]
+        dom, cod = (algebra_from_json(_field(data, key)) for key in ("dom", "cod"))
+        images = [element_from_json(e) for e in _field(data, "images")]
     except (TypeError, IndexError) as exc:  # a wrong JSON type
         raise ValueError(f"malformed JSON: {exc}") from exc
     return make_map(dom, cod, images)

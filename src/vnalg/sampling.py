@@ -20,6 +20,13 @@ def random_element(algebra: FdAlgebra, rng: np.random.Generator) -> Element:
     return algebra.element(_ginibre(rng, n) for n in algebra.dims)
 
 
+def _element_stacks(algebra: FdAlgebra, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """The blocks of n ``random_element`` draws, one (n, m, m) stack per block."""
+    z = rng.standard_normal((n, 2 * algebra.dim))  # per element: real, imaginary per block
+    return [(z[:, 2 * o:2 * o + m * m] + 1j * z[:, 2 * o + m * m:2 * (o + m * m)])
+            .reshape(n, m, m) for o, m in zip(algebra.offsets, algebra.dims)]
+
+
 def random_self_adjoint(algebra: FdAlgebra, rng: np.random.Generator) -> Element:
     blocks = []
     for n in algebra.dims:

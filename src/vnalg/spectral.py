@@ -125,9 +125,10 @@ def _calculus(a: Element, f: Callable[[complex], complex], hermitian: bool,
 def functional_calculus(a: Element, f: Callable[[complex], complex],
                         tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Apply a scalar function to a normal element via diagonalization."""
-    if not is_normal(a, tol):
+    hermitian = is_self_adjoint(a, tol)  # a self-adjoint element is normal
+    if not (hermitian or is_normal(a, tol)):
         raise NotNormal("functional calculus needs a normal element")
-    return _calculus(a, f, is_self_adjoint(a, tol), tol)
+    return _calculus(a, f, hermitian, tol)
 
 
 def sqrt(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:

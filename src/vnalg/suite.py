@@ -23,7 +23,7 @@ from .measurement import (check_axioms, counterexample_ops, is_diamond_positive,
                           standard_op)
 from .projections import (ceiling, floor, join, meet,
                           range_projection, snap_projection, support)
-from .sampling import (random_effect, random_element, random_positive,
+from .sampling import (_element_stacks, random_effect, random_element, random_positive,
                        random_projection, random_self_adjoint, random_unitary,
                        random_unitary_block)
 from .spectral import power, spectrum, sqrt
@@ -125,6 +125,29 @@ def check_square_root_axiom(level: str = "full", seed: int = 11) -> tuple[bool, 
 # 3. Choi versus brute-force n-positivity
 
 
+def _npos_total(f: LinMap, t: int, max_len: int, rng: np.random.Generator) -> Element:
+    """Tuple t of :func:`_npos_oracle`, summed on one (n, m, m) stack per block:
+    one einsum for all n^2 products a_i* a_j, one matmul by ``f.matrix`` for
+    their images, and one einsum per codomain block for the sum with the b's."""
+    if t % 2 == 0:
+        n = int(rng.integers(1, max_len + 1))
+        a = _element_stacks(f.dom, rng, n)
+    else:
+        i = int(rng.integers(0, f.dom.num_blocks))
+        ni = f.dom.dims[i]
+        n = min(max_len, ni * ni)
+        u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
+        a = [np.zeros((n, m, m), dtype=complex) for m in f.dom.dims]
+        x = rng.standard_normal((n, 2, ni))  # the x_k, real and imaginary parts
+        a[i][:] = (u / np.linalg.norm(u))[:, None] * (x[:, 0] + 1j * x[:, 1]).conj()[:, None, :]
+    b = _element_stacks(f.cod, rng, n)
+    images = np.concatenate([np.einsum("iba,jbc->ijac", s.conj(), s).reshape(n, n, -1)
+                             for s in a], axis=2) @ f.matrix.T
+    return Element._wrap(f.cod, (np.einsum("iba,ijbc,jcd->ad", bs.conj(),
+                                           images[:, :, off:off + m * m].reshape(n, n, m, m), bs)
+                                 for bs, off, m in zip(b, f.cod.offsets, f.cod.dims)))
+
+
 def _npos_oracle(f: LinMap, tuples: int, max_len: int,
                  rng: np.random.Generator) -> bool:
     """Sampled n-positivity: sum_ij b_i* f(a_i* a_j) b_j >= 0 on random tuples.
@@ -134,32 +157,7 @@ def _npos_oracle(f: LinMap, tuples: int, max_len: int,
     quadratic form scans a random subspace of the full matrix amplification
     and detects non-positivity far more sharply.
     """
-    alg = f.dom
-    cod = f.cod
-    for t in range(tuples):
-        if t % 2 == 0:
-            n = int(rng.integers(1, max_len + 1))
-            avec = [random_element(alg, rng) for _ in range(n)]
-        else:
-            i = int(rng.integers(0, alg.num_blocks))
-            ni = alg.dims[i]
-            n = min(max_len, ni * ni)
-            u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
-            u /= np.linalg.norm(u)
-            avec = []
-            for _ in range(n):
-                x = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
-                avec.append(alg._block_element(i, np.outer(u, x.conj())))
-        bvec = [random_element(cod, rng) for _ in range(n)]
-        total = cod.zero()
-        for i in range(n):
-            for j in range(n):
-                total = add(total, mul(mul(adjoint(bvec[i]),
-                                           apply(f, mul(adjoint(avec[i]), avec[j]))),
-                                       bvec[j]))
-        if not is_positive(total, TOL):
-            return False
-    return True
+    return all(is_positive(_npos_total(f, t, max_len, rng), TOL) for t in range(tuples))
 
 
 def _random_mixture_map(alg: FdAlgebra, rng: np.random.Generator) -> LinMap:

@@ -12,6 +12,10 @@ in ``test_norm_gates.py`` hold the two to the same verdicts and exceptions.
 The same holds for the norm tests of the other modules, kept below as they
 read before they went through ``algebra._norm_gate``.
 
+``npos_total`` sums one tuple of the acceptance battery's n-positivity
+oracle one ``Element`` at a time, where the battery stacks the tuple into
+arrays; ``test_npos_oracle.py`` holds the two to the same draws and verdicts.
+
 ``sqrt_iterative`` and ``eigen_oracle_charpoly`` compute roots and
 eigenvalues without an eigensolver, for ``test_spectral.py``.
 
@@ -25,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _unit_index, adjoint,
-                          direct_sum, mul, operator_norm, orthosupplement, symmetrize)
+from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _unit_index, add,
+                          adjoint, direct_sum, mul, operator_norm, orthosupplement, symmetrize)
 from vnalg.algebra import is_positive as lib_is_positive
 from vnalg.algebra import is_self_adjoint as lib_is_self_adjoint
 from vnalg.errors import CarrierViolated, NotFinite, NotNormal, NotPositive, NotProjection
@@ -34,6 +38,7 @@ from vnalg.maps import LinMap, _unit_image, apply, compose, is_unital, make_map
 from vnalg.maps import choi_blocks as lib_choi_blocks
 from vnalg.measurement import bracket, corner_algebra
 from vnalg.projections import _require_projections
+from vnalg.sampling import random_element
 from vnalg.spectral import _apply_block
 from vnalg.spectral import is_normal as lib_is_normal
 from vnalg.tensor import tensor_algebra, tensor_elements
@@ -473,6 +478,33 @@ def contains(sub, a, tol=DEFAULT_TOL):
 def close(d, ref, rel):
     """The acceptance battery's relative check."""
     return svd_norm(d) <= rel * (1.0 + svd_norm(ref))
+
+
+def npos_total(f, t, max_len, rng):
+    """Tuple t of ``suite._npos_oracle``, summed one ``Element`` at a time:
+    its draws and sum_ij b_i* f(a_i* a_j) b_j."""
+    alg, cod = f.dom, f.cod
+    if t % 2 == 0:
+        n = int(rng.integers(1, max_len + 1))
+        avec = [random_element(alg, rng) for _ in range(n)]
+    else:
+        i = int(rng.integers(0, alg.num_blocks))
+        ni = alg.dims[i]
+        n = min(max_len, ni * ni)
+        u = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
+        u /= np.linalg.norm(u)
+        avec = []
+        for _ in range(n):
+            x = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
+            avec.append(alg._block_element(i, np.outer(u, x.conj())))
+    bvec = [random_element(cod, rng) for _ in range(n)]
+    total = cod.zero()
+    for i in range(n):
+        for j in range(n):
+            total = add(total, mul(mul(adjoint(bvec[i]),
+                                       apply(f, mul(adjoint(avec[i]), avec[j]))),
+                                   bvec[j]))
+    return total
 
 
 # ---------------------------------------------------------------------------

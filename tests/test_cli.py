@@ -210,21 +210,38 @@ def test_checkmap_tests_multiplicativity_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sqrt_and_abs_answer_near_the_float_limit():
-    # a*a overflows on this payload; a fresh process shows any numpy warning
-    # on its stderr.
-    a = M2.element([1e160 * np.array([[2.0, 1.0], [1.0, 2.0]])])
-    root = 1e80 * np.array([[np.sqrt(3) + 1, np.sqrt(3) - 1], [np.sqrt(3) - 1, np.sqrt(3) + 1]]) / 2
+# a*a overflows on this payload; a fresh process shows any numpy warning on
+# its stderr.
+NEAR_LIMIT = M2.element([1e160 * np.array([[2.0, 1.0], [1.0, 2.0]])])
+
+
+def run_fresh(argv, element):
+    """Exit code, stdout and stderr of the CLI in a fresh interpreter."""
     src = str(Path(vnalg.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "vnalg.cli", *argv],
+                          input=dumps(element_to_json(element)), capture_output=True, text=True,
+                          env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_sqrt_and_abs_answer_near_the_float_limit():
+    a = NEAR_LIMIT
+    root = 1e80 * np.array([[np.sqrt(3) + 1, np.sqrt(3) - 1], [np.sqrt(3) - 1, np.sqrt(3) + 1]]) / 2
     for command, want in (("sqrt", root), ("abs", a.blocks[0])):
-        proc = subprocess.run([sys.executable, "-m", "vnalg.cli", command],
-                              input=dumps(element_to_json(a)), capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
-        np.testing.assert_allclose(element_from_json(loads(proc.stdout)).blocks[0], want,
-                                   rtol=1e-14)
+        code, out, err = run_fresh([command], a)
+        assert (code, err) == (0, ""), out
+        np.testing.assert_allclose(element_from_json(loads(out)).blocks[0], want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("command", ["sqrt", "abs"])
+def test_named_function_near_the_float_limit_answers_as_the_command(command):
+    # The named function goes through functional_calculus, which takes a
+    # self-adjoint element as normal without forming a*a.
+    got = run_fresh([command, "--f", command], NEAR_LIMIT)
+    assert got == run_fresh([command], NEAR_LIMIT)
+    assert (got[0], got[2]) == (0, "")
 
 
 def test_checkmap_and_choi_commands():

@@ -63,6 +63,9 @@ MALFORMED = {
     "bare number entry": lambda el: {**el, "blocks": [[[1, 0], [0, 1]]]},
     "short pair": lambda el: {**el, "blocks": [[[[1], [0, 0]], [[0, 0], [1, 0]]]]},
     "bare number dims": lambda el: {**el, "algebra": {"dims": 2}},
+    "object entry": lambda el: {**el, "blocks": [[[{"re": 1}, [0, 0]], [[0, 0], [1, 0]]]]},
+    "missing algebra": lambda el: {"blocks": el["blocks"]},
+    "missing blocks": lambda el: {"algebra": el["algebra"]},
 }
 
 
@@ -72,6 +75,34 @@ def test_malformed_payloads_are_parse_errors(command, case):
     data = payload(command, MALFORMED[case](json.loads(dumps(ELEMENT))))
     code, out = run_cli([command], dumps(data))
     assert (code, out["error"]) == (1, "ParseError")
+
+
+ELEMENT_IN_M1 = element_to_json(make_algebra([1]).unit())
+# (argv, payload, the field its message names)
+MISSING_FIELDS = [
+    (["sqrt"], MALFORMED["missing algebra"](ELEMENT), "algebra"),
+    (["sqrt"], MALFORMED["missing blocks"](ELEMENT), "blocks"),
+    (["sqrt"], {**ELEMENT, "algebra": {}}, "dims"),
+    (["checkmap"], {"dom": MAP["dom"], "cod": MAP["cod"]}, "images"),
+    (["checkmap"], {"dom": MAP["dom"], "images": MAP["images"]}, "cod"),
+    (["checkmap"], {**MAP, "images": [{"algebra": MAP["cod"]}] * 4}, "blocks"),
+    (["divide"], {"a": ELEMENT_IN_M1}, "b"),
+    (["seqquot"], {"b": ELEMENT_IN_M1}, "a"),
+    (["join"], {}, "elements"),
+    (["wedderburn"], {"basis": []}, "ambient"),
+]
+
+
+@pytest.mark.parametrize("argv,data,field", MISSING_FIELDS,
+                         ids=[f"{argv[0]}-{field}" for argv, _, field in MISSING_FIELDS])
+def test_a_missing_field_is_named(argv, data, field):
+    code, out = run_cli(argv, dumps(data))
+    assert (code, out) == (1, {"error": "ParseError", "message": f"missing field '{field}'"})
+
+
+def test_an_object_entry_is_malformed_json():
+    code, out = run_cli(["sqrt"], dumps(MALFORMED["object entry"](ELEMENT)))
+    assert (code, out) == (1, {"error": "ParseError", "message": "malformed JSON: 0"})
 
 
 @pytest.mark.parametrize("command", COMMANDS)

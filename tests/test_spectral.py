@@ -147,6 +147,15 @@ def test_functional_calculus_rejects_non_normal():
         functional_calculus(M2.element([np.array([[0, 2], [0, 0]])]), lambda z: z)
 
 
+def test_functional_calculus_takes_a_self_adjoint_element_as_normal():
+    # Self-adjoint within tolerance, but the commutator of its Hermitian and
+    # skew parts fails the normality threshold: the calculus runs on the
+    # Hermitian part.
+    a = M2.element([np.array([[1e4, 4.5e-6], [-4.5e-6, -1e4]])])
+    assert not vnalg.spectral.is_normal(a)
+    assert equal(functional_calculus(a, lambda z: z), M2.element([np.diag([1e4, -1e4])]))
+
+
 def test_function_undefined_at_eigenvalue():
     a = M2.element([np.diag([1.0, 0.0])])
     with pytest.raises(FunctionUndefinedOnSpectrum):
