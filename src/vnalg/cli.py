@@ -120,7 +120,7 @@ def _map_json(f):
 
 def _gns_json(res):
     return {"hilbert_dim": res.hilbert_dim, "rep": jsonio.map_to_json(res.rep),
-            "eta": [[_complex_pair(v) for v in row] for row in res.eta]}
+            "eta": jsonio._matrix_to_json(res.eta)}
 
 
 def cmd_divide(args):
@@ -155,8 +155,7 @@ def cmd_choi(args):
     blocks = []
     for cb in choi_blocks(f):
         blocks.append({"domain_block_index": cb.domain_block_index,
-                       "matrix": [[_complex_pair(v) for v in row]
-                                  for row in cb.matrix]})
+                       "matrix": jsonio._matrix_to_json(cb.matrix)})
     _emit(args, {"blocks": blocks, "min_eigenvalue": min_choi_eigenvalue(f)})
 
 

@@ -61,40 +61,39 @@ def pseudoinverse(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     return a.algebra.element(blocks)
 
 
+def _band(v: float) -> int:
+    """The n with 1/(n+1) <= v < 1/n (1/0 read as infinity), for v > 0.
+
+    int(1/v) is right or one too large: rounding is monotone, so v lies at or
+    above 1/(n+1) for n = int(1/v), and below 1/n unless it sits on the grid.
+    """
+    n = int(1.0 / v)
+    return n - 1 if n and v >= 1.0 / n else n
+
+
 def _positive_bands(a: Element, tol: ToleranceConfig) -> ApproxPseudoinverse:
     """Band construction for positive a on the exact 1/n grid.
 
-    Band n collects the eigenvalues in [1/(n+1), 1/n), scanning from
-    n = 0 (where 1/0 is read as infinity) until the smallest nonzero
-    eigenvalue is captured; finite spectra make this terminate.
+    Band n collects the eigenvalues in [1/(n+1), 1/n), where 1/0 is read as
+    infinity; only the bands holding an eigenvalue above the cut give terms,
+    in increasing n.
     """
     alg = a.algebra
     eigpairs = [_eigh(b) for b in a.blocks]
     cut = tol.snap_radius(operator_norm(a))
-    positive_vals = [v for vals, _ in eigpairs for v in vals if v > cut]
-    if not positive_vals:
-        return ApproxPseudoinverse((), ())
-    lam_min = min(positive_vals)
     terms, bands = [], []
-    n = 0
-    while True:
+    for n in sorted({_band(float(v)) for vals, _ in eigpairs for v in vals if v > cut}):
         lo = 1.0 / (n + 1)
-        hi = np.inf if n == 0 else 1.0 / n
+        hi = 1.0 / n if n else np.inf
         blocks = [np.zeros_like(b) for b in a.blocks]
-        nonzero = False
         for i, (vals, vecs) in enumerate(eigpairs):
             sel = (vals > cut) & (vals >= lo) & (vals < hi)
             if np.any(sel):
                 v = vecs[:, sel]
                 inv = np.diag(1.0 / vals[sel])
                 blocks[i] = v @ inv @ v.conj().T
-                nonzero = True
-        if nonzero:
-            terms.append(alg.element(blocks))
-            bands.append((lo, float(hi) if np.isfinite(hi) else float("inf")))
-        if lo <= lam_min:
-            break
-        n += 1
+        terms.append(alg.element(blocks))
+        bands.append((lo, float(hi)))
     return ApproxPseudoinverse(tuple(terms), tuple(bands))
 
 

@@ -311,10 +311,8 @@ def min_choi_eigenvalue(f: LinMap) -> float:
     """Smallest eigenvalue over all Hermitian-symmetrized Choi blocks."""
     worst = np.inf
     for cb in choi_blocks(f):
-        if cb.matrix.size == 0:
-            continue
         _require_finite(cb.matrix)
-        worst = min(worst, float(_eigvalsh(cb.matrix).min()))
+        worst = min(worst, float(_eigvalsh(cb.matrix).min(initial=np.inf)))
     return 0.0 if np.isinf(worst) else float(worst)
 
 

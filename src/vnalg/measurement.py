@@ -120,18 +120,10 @@ def factor_through_filter(f: LinMap, d: Element,
     support of d.
     """
     bound = mul(adjoint(d), d)
-    one_img = _unit_image(f)
-    if not is_positive(bound - one_img, tol):
+    if not is_positive(bound - _unit_image(f), tol):
         raise FilterBoundViolated("f(1) is not below d*d")
-    bound_sym = symmetrize(bound)
-    root = sqrt(bound_sym, tol)
-    pinv_root = pseudoinverse(root, tol)
-    ctx = corner_algebra(ceiling(bound_sym, tol), tol)
-    images = []
-    for b in f.dom.basis():
-        y = mul(mul(pinv_root, apply(f, b)), pinv_root)
-        images.append(apply(ctx.compress, y))
-    return make_map(f.dom, ctx.corner, images)
+    return _corner_quotient(f.dom, [apply(f, b) for b in f.dom.basis()],
+                            symmetrize(bound), tol)
 
 
 def factor_through_corner(f: LinMap, e: Element,
@@ -147,27 +139,24 @@ def factor_through_corner(f: LinMap, e: Element,
     return compose(f, ctx.embed)
 
 
-def _unit_corners(f: LinMap, tol: ToleranceConfig):
-    """f(1), its Hermitian part, and the corners of the carrier of f and of
-    the ceiling of f(1); the carrier is computed first."""
-    car = carrier(f, tol)
-    one_img = _unit_image(f)
-    one_sym = symmetrize(one_img)
-    return (one_img, one_sym, corner_algebra(car, tol),
-            corner_algebra(ceiling(one_sym, tol), tol))
+def _corner_quotient(dom: FdAlgebra, images, bound: Element,
+                     tol: ToleranceConfig) -> LinMap:
+    """The map sending the k-th basis element of dom to compress(r+ y r+) for
+    the k-th image y, r = sqrt(bound) and r+ its pseudoinverse, compressed
+    into the corner of ceiling(bound).  ceiling runs first: it is what
+    reports a bound that is not positive."""
+    ctx = corner_algebra(ceiling(bound, tol), tol)
+    pinv_root = pseudoinverse(sqrt(bound, tol), tol)
+    return make_map(dom, ctx.corner, [apply(ctx.compress, mul(mul(pinv_root, y), pinv_root))
+                                      for y in images])
 
 
 def bracket(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     """The unital faithful middle map of f between its carrier corner and
     the corner of f(1): f factors as filter o bracket o corner."""
-    _, one_sym, dom_ctx, cod_ctx = _unit_corners(f, tol)
-    root = sqrt(one_sym, tol)
-    pinv_root = pseudoinverse(root, tol)
-    images = []
-    for b in dom_ctx.corner.basis():
-        y = mul(mul(pinv_root, apply(f, apply(dom_ctx.embed, b))), pinv_root)
-        images.append(apply(cod_ctx.compress, y))
-    return make_map(dom_ctx.corner, cod_ctx.corner, images)
+    dom_ctx = corner_algebra(carrier(f, tol), tol)
+    images = [apply(f, apply(dom_ctx.embed, b)) for b in dom_ctx.corner.basis()]
+    return _corner_quotient(dom_ctx.corner, images, symmetrize(_unit_image(f)), tol)
 
 
 def is_pure(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -199,7 +188,9 @@ def chevron(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     """
     if f.dom != f.cod:
         raise ShapeMismatch("chevron needs an endomap")
-    one_img, _, dom_ctx, cod_ctx = _unit_corners(f, tol)
+    dom_ctx = corner_algebra(carrier(f, tol), tol)
+    one_img = _unit_image(f)
+    cod_ctx = corner_algebra(ceiling(symmetrize(one_img), tol), tol)
     out = compose(cod_ctx.compress, compose(f, dom_ctx.embed))
     if out.dom.dim:
         check = ToleranceConfig(1e-6, 1e-9, max(tol.snap_eps, 1e-6))

@@ -6,12 +6,14 @@ The decomposition follows the classical constructive route: split the
 centre of the subalgebra with a generic self-adjoint central element, find a
 minimal projection inside each factor by repeated spectral compression, and
 assemble matrix units from polar-decomposition partial isometries.  All the
-linear algebra happens in ambient coordinates; membership in the subalgebra
-is always witnessed by projecting onto its orthonormal basis.
+linear algebra happens in ambient coordinates: membership in the subalgebra
+is witnessed by one product with the matrix of its orthonormal basis, and
+the GNS Gram matrix is read off the state by the matrix-unit index rule.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +38,17 @@ class StarSubalgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
+    def _frame(self) -> np.ndarray:
+        """The basis as rows of ambient coordinates."""
+        return np.array([b.coords() for b in self.basis], dtype=complex).reshape(
+            self.dim, self.ambient.dim)
+
     def project_coords(self, a: Element) -> np.ndarray:
-        return np.array([hs_inner(b, a) for b in self.basis])
+        return self._frame.conj() @ a.coords()
 
     def project(self, a: Element) -> Element:
-        return _combination(self.ambient, self.project_coords(a), self.basis)
+        return self.ambient.from_coords(self.project_coords(a) @ self._frame)
 
     def contains(self, a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         def bound(scale: float) -> float:  # the usual threshold, widened 1000 times
@@ -137,12 +145,8 @@ def _sub_centre_basis(sub: StarSubalgebra, tol: ToleranceConfig) -> list[Element
     k = sub.dim
     if k == 0:
         return []
-    rows = []
-    for b in sub.basis:
-        lb = left_mult_matrix(b)
-        rows.append(np.column_stack([
-            (lb @ x.coords()) - (left_mult_matrix(x) @ b.coords())
-            for x in sub.basis]))
+    mats = [(left_mult_matrix(x), x.coords()) for x in sub.basis]
+    rows = [np.column_stack([lb @ cx - lx @ cb for lx, cx in mats]) for lb, cb in mats]
     vh, rank = _span(np.vstack(rows), tol)
     return [_combination(sub.ambient, row, sub.basis) for row in vh[rank:].conj()]
 
@@ -272,21 +276,21 @@ class GnsResult:
 def gns(omega: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> GnsResult:
     """Representation from a positive functional.
 
-    The Gram matrix G[x, y] = omega(x* y) on the canonical basis is
-    diagonalized; eigendirections above snap_eps survive the quotient, the
-    embedding is weighted by the square roots of the kept eigenvalues, and
-    the representation is compressed left multiplication.
+    The Gram matrix G[x, y] = omega(x* y) on the canonical basis is read
+    off omega by E_ab* E_ac = E_bc (zero across blocks) and diagonalized;
+    eigendirections above snap_eps survive the quotient, the embedding is
+    weighted by the square roots of the kept eigenvalues, and the
+    representation is compressed left multiplication.
     """
     if not is_positive_functional(omega, tol):
         raise NotPositive("gns needs a positive functional")
     alg = omega.dom
-    basis = alg.basis()
-    d = alg.dim
-    gram = np.zeros((d, d), dtype=complex)
-    row = omega.matrix[0]
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            gram[i, j] = row @ mul(adjoint(x), y).coords()
+    gram = np.zeros((alg.dim, alg.dim), dtype=complex)
+    for off, n in zip(alg.offsets, alg.dims):
+        values = omega.matrix[0, off:off + n * n].reshape(n, n)
+        for a in range(off, off + n * n, n):
+            gram[a:a + n, a:a + n] = values
+    gram += 0.0  # a -0.0 of omega reads 0.0, as the dot product omega(x* y) gives it
     vals, vecs = _eigh(gram)
     keep = vals > tol.snap_radius(float(vals.max(initial=0.0)))
     kept_vals = vals[keep]
@@ -296,7 +300,7 @@ def gns(omega: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> GnsResult:
     eta_pinv = kept_vecs @ np.diag(1.0 / np.sqrt(kept_vals))
     rep_target = FdAlgebra((hdim,)) if hdim > 0 else FdAlgebra(())
     images = []
-    for x in basis:
+    for x in alg.basis():
         m = eta @ left_mult_matrix(x) @ eta_pinv
         images.append(rep_target.element([m]) if hdim > 0 else rep_target.element([]))
     rep = make_map(alg, rep_target, images)

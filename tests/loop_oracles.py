@@ -12,6 +12,12 @@ in ``test_norm_gates.py`` hold the two to the same verdicts and exceptions.
 The same holds for the norm tests of the other modules, kept below as they
 read before they went through ``algebra._norm_gate``.
 
+``project``, ``sub_centre_basis``, ``gns_gram``, ``gns``, ``positive_bands``,
+``bracket_loop`` and ``factor_through_filter_loop`` are the structure,
+division and corner code as it read before it computed on coordinates: one
+inner product, Gram entry, band or corner image at a time;
+``test_coordinate_formulas.py`` holds the library to them.
+
 ``npos_total`` sums one tuple of the acceptance battery's n-positivity
 oracle one ``Element`` at a time, where the battery stacks the tuple into
 arrays; ``test_npos_oracle.py`` holds the two to the same draws and verdicts.
@@ -30,17 +36,22 @@ import numpy as np
 import scipy.linalg
 
 from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _unit_index, add,
-                          adjoint, direct_sum, mul, operator_norm, orthosupplement, symmetrize)
+                          adjoint, direct_sum, hs_inner, mul, operator_norm, orthosupplement,
+                          symmetrize)
 from vnalg.algebra import is_positive as lib_is_positive
 from vnalg.algebra import is_self_adjoint as lib_is_self_adjoint
-from vnalg.errors import CarrierViolated, NotFinite, NotNormal, NotPositive, NotProjection
-from vnalg.maps import LinMap, _unit_image, apply, compose, is_unital, make_map
+from vnalg.division import ApproxPseudoinverse
+from vnalg.division import pseudoinverse as lib_pseudoinverse
+from vnalg.errors import (CarrierViolated, FilterBoundViolated, NotFinite, NotNormal,
+                          NotPositive, NotProjection)
+from vnalg.maps import LinMap, _unit_image, apply, carrier, compose, is_unital, make_map
 from vnalg.maps import choi_blocks as lib_choi_blocks
 from vnalg.measurement import bracket, corner_algebra
-from vnalg.projections import _require_projections
+from vnalg.projections import _require_projections, _span, ceiling, left_mult_matrix
 from vnalg.sampling import random_element
 from vnalg.spectral import _apply_block
 from vnalg.spectral import is_normal as lib_is_normal
+from vnalg.spectral import sqrt as lib_sqrt
 from vnalg.tensor import tensor_algebra, tensor_elements
 
 
@@ -470,7 +481,7 @@ def is_pure(f, tol=DEFAULT_TOL):
 
 def contains(sub, a, tol=DEFAULT_TOL):
     """``StarSubalgebra.contains``."""
-    resid = a - sub.project(a)
+    resid = a - project(sub, a)
     scale = max(1.0, svd_norm(a))
     return svd_norm(resid) <= tol.eps_abs + 1e3 * tol.eps_rel * scale
 
@@ -505,6 +516,133 @@ def npos_total(f, t, max_len, rng):
                                        apply(f, mul(adjoint(avec[i]), avec[j]))),
                                    bvec[j]))
     return total
+
+
+# ---------------------------------------------------------------------------
+# structure, division and corners, one basis element at a time
+
+def project(sub, a):
+    """``StarSubalgebra.project``: k Hilbert-Schmidt inner products, then their
+    combination of the basis added left to right onto zero."""
+    coeffs = np.array([hs_inner(b, a) for b in sub.basis])
+    out = sub.ambient.zero()
+    for c, b in zip(coeffs, sub.basis):
+        out = add(out, c * b)
+    return out
+
+
+def sub_centre_basis(sub, tol=DEFAULT_TOL):
+    """``structure._sub_centre_basis``, with k² + k left-multiplication matrices."""
+    if sub.dim == 0:
+        return []
+    rows = []
+    for b in sub.basis:
+        lb = left_mult_matrix(b)
+        rows.append(np.column_stack([
+            (lb @ x.coords()) - (left_mult_matrix(x) @ b.coords())
+            for x in sub.basis]))
+    vh, rank = _span(np.vstack(rows), tol)
+    out = []
+    for row in vh[rank:].conj():
+        el = sub.ambient.zero()
+        for c, b in zip(row, sub.basis):
+            el = add(el, c * b)
+        out.append(el)
+    return out
+
+
+def gns_gram(omega):
+    """The GNS Gram matrix G[x, y] = omega(x* y), from d² products."""
+    basis = omega.dom.basis()
+    gram = np.zeros((omega.dom.dim, omega.dom.dim), dtype=complex)
+    row = omega.matrix[0]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            gram[i, j] = row @ mul(adjoint(x), y).coords()
+    return gram
+
+
+def gns(omega, tol=DEFAULT_TOL):
+    """``structure.gns`` without its positivity check, on ``gns_gram``:
+    (hilbert_dim, eta, rep)."""
+    alg = omega.dom
+    basis = alg.basis()
+    vals, vecs = _eigh(gns_gram(omega))
+    keep = vals > tol.snap_radius(float(vals.max(initial=0.0)))
+    kept_vals = vals[keep]
+    kept_vecs = vecs[:, keep]
+    hdim = int(kept_vals.size)
+    eta = np.diag(np.sqrt(kept_vals)) @ kept_vecs.conj().T
+    eta_pinv = kept_vecs @ np.diag(1.0 / np.sqrt(kept_vals))
+    rep_target = FdAlgebra((hdim,)) if hdim > 0 else FdAlgebra(())
+    images = []
+    for x in basis:
+        m = eta @ left_mult_matrix(x) @ eta_pinv
+        images.append(rep_target.element([m]) if hdim > 0 else rep_target.element([]))
+    return hdim, eta, make_map(alg, rep_target, images)
+
+
+def positive_bands(a, tol=DEFAULT_TOL):
+    """``division._positive_bands``, scanning every band of the 1/n grid from
+    n = 0 until the smallest eigenvalue above the cut is captured."""
+    alg = a.algebra
+    eigpairs = [_eigh(b) for b in a.blocks]
+    cut = tol.snap_radius(operator_norm(a))
+    positive_vals = [v for vals, _ in eigpairs for v in vals if v > cut]
+    if not positive_vals:
+        return ApproxPseudoinverse((), ())
+    lam_min = min(positive_vals)
+    terms, bands = [], []
+    n = 0
+    while True:
+        lo = 1.0 / (n + 1)
+        hi = np.inf if n == 0 else 1.0 / n
+        blocks = [np.zeros_like(b) for b in a.blocks]
+        nonzero = False
+        for i, (vals, vecs) in enumerate(eigpairs):
+            sel = (vals > cut) & (vals >= lo) & (vals < hi)
+            if np.any(sel):
+                v = vecs[:, sel]
+                inv = np.diag(1.0 / vals[sel])
+                blocks[i] = v @ inv @ v.conj().T
+                nonzero = True
+        if nonzero:
+            terms.append(alg.element(blocks))
+            bands.append((lo, float(hi) if np.isfinite(hi) else float("inf")))
+        if lo <= lam_min:
+            break
+        n += 1
+    return ApproxPseudoinverse(tuple(terms), tuple(bands))
+
+
+def bracket_loop(f, tol=DEFAULT_TOL):
+    """``measurement.bracket``, with its own corner-quotient loop."""
+    car = carrier(f, tol)
+    one_sym = symmetrize(_unit_image(f))
+    dom_ctx = corner_algebra(car, tol)
+    cod_ctx = corner_algebra(ceiling(one_sym, tol), tol)
+    pinv_root = lib_pseudoinverse(lib_sqrt(one_sym, tol), tol)
+    images = []
+    for b in dom_ctx.corner.basis():
+        y = mul(mul(pinv_root, apply(f, apply(dom_ctx.embed, b))), pinv_root)
+        images.append(apply(cod_ctx.compress, y))
+    return make_map(dom_ctx.corner, cod_ctx.corner, images)
+
+
+def factor_through_filter_loop(f, d, tol=DEFAULT_TOL):
+    """``measurement.factor_through_filter``, with its own corner-quotient
+    loop; the root is taken before the ceiling."""
+    bound = mul(adjoint(d), d)
+    if not lib_is_positive(bound - _unit_image(f), tol):
+        raise FilterBoundViolated("f(1) is not below d*d")
+    bound_sym = symmetrize(bound)
+    pinv_root = lib_pseudoinverse(lib_sqrt(bound_sym, tol), tol)
+    ctx = corner_algebra(ceiling(bound_sym, tol), tol)
+    images = []
+    for b in f.dom.basis():
+        y = mul(mul(pinv_root, apply(f, b)), pinv_root)
+        images.append(apply(ctx.compress, y))
+    return make_map(f.dom, ctx.corner, images)
 
 
 # ---------------------------------------------------------------------------
