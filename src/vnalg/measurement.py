@@ -12,6 +12,7 @@ operations that each break exactly one law.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -224,32 +225,47 @@ def is_diamond_positive(f: LinMap, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return maps_equal(f, mult_map(root, root), tol)
 
 
-def seq_product(p: Element, q: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
-    """sqrt(p) q sqrt(p): measure p, then ask q."""
-    if not (is_effect(p, tol) and is_effect(q, tol)):
+def _seq_at(p: Element, tol: ToleranceConfig) -> Callable[[Element], Element]:
+    """q -> sqrt(p) q sqrt(p), with p checked and its root taken once."""
+    if not is_effect(p, tol):
         raise NotEffect("sequential product needs effects")
     root = sqrt(p, tol)
-    return mul(mul(root, q), root)
+
+    def at_p(q: Element) -> Element:
+        if not is_effect(q, tol):
+            raise NotEffect("sequential product needs effects")
+        return mul(mul(root, q), root)
+    return at_p
+
+
+def seq_product(p: Element, q: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
+    """sqrt(p) q sqrt(p): measure p, then ask q."""
+    return _seq_at(p, tol)(q)
 
 
 @dataclass(frozen=True)
 class BinOpSpec:
-    """A candidate binary operation on effects, with optional metadata.
+    """A candidate binary operation on effects, curried, with optional metadata.
 
-    ``d_witness`` maps p to a claimed q with op(q, q) = p; the axiom-D
-    check runs only against such supplied witnesses.
+    ``at(p)`` does the work that depends on p alone once and returns
+    q -> op(p, q); ``eval(p, q)`` is ``at(p)(q)``.  ``d_witness`` maps p to
+    a claimed q with op(q, q) = p; the axiom-D check runs only against such
+    supplied witnesses.
     """
 
     name: str
-    eval: Callable[[Element, Element], Element]
+    at: Callable[[Element], Callable[[Element], Element]]
     d_witness: Optional[Callable[[Element], Element]] = None
     target_axiom: Optional[str] = None
+
+    def eval(self, p: Element, q: Element) -> Element:
+        return self.at(p)(q)
 
 
 def standard_op(tol: ToleranceConfig = DEFAULT_TOL) -> BinOpSpec:
     return BinOpSpec(
         name="std",
-        eval=lambda p, q: seq_product(p, q, tol),
+        at=lambda p: _seq_at(p, tol),
         d_witness=lambda p: sqrt(p, tol),
     )
 
@@ -270,27 +286,27 @@ def counterexample_ops(algebra: FdAlgebra,
        lam -> lam^i of p, which squares correctly            (breaks E)
     """
 
-    def op_ceil(p, q):
+    def ceil_at(p):
         c = ceiling(p, tol)
-        return mul(mul(c, q), c)
+        return lambda q: mul(mul(c, q), c)
 
-    def op_floorsplit(p, q):
+    def floorsplit_at(p):
         fl = floor(p, tol)
         rest = p - fl
         root = sqrt(symmetrize(rest), tol)
-        return mul(mul(fl, q), fl) + mul(mul(root, q), root)
+        return lambda q: mul(mul(fl, q), fl) + mul(mul(root, q), root)
 
     def conjugated_product(g):
-        def op(p, q):
+        def at(p):
             u = functional_calculus(p, g, tol)
             root = sqrt(p, tol)
-            inner = mul(mul(adjoint(u), q), u)
-            return mul(mul(root, inner), root)
-        return op
+            u_star = adjoint(u)
+            return lambda q: mul(mul(root, mul(mul(u_star, q), u)), root)
+        return at
 
     return [
-        BinOpSpec("ceil", op_ceil, d_witness=lambda p: p, target_axiom="A"),
-        BinOpSpec("floorsplit", op_floorsplit,
+        BinOpSpec("ceil", ceil_at, d_witness=lambda p: p, target_axiom="A"),
+        BinOpSpec("floorsplit", floorsplit_at,
                   d_witness=lambda p: sqrt(p, tol), target_axiom="B"),
         BinOpSpec("sign", conjugated_product(_sign_above_half),
                   d_witness=lambda p: sqrt(p, tol), target_axiom="C"),
@@ -326,16 +342,27 @@ def _structured_effects(algebra: FdAlgebra) -> list[Element]:
     return out
 
 
-def _linearize_in_q(op: BinOpSpec, p: Element,
+def _linearize_in_q(op_p: Callable[[Element], Element], alg: FdAlgebra,
                     tol: ToleranceConfig) -> Optional[LinMap]:
-    """The map q -> op(p, q), or None if four random effects refute it.
+    """The map q -> op(p, q), given ``op_p = op.at(p)``, or None if four
+    random effects refute it.
 
     Budget: one baseline evaluation op(p, 1/2) shared by every direction,
-    two evaluations per basis element (its self-adjoint parts h and s),
-    then four sanity evaluations: 2*dim + 5 calls of ``op.eval`` in all.
+    two per basis element (its self-adjoint parts h and s), then four
+    sanity evaluations; an argument equal bit for bit to an earlier one is
+    read back, not evaluated.  The symmetric parts of E_ij and E_ji agree,
+    and the zero imaginary part of a diagonal unit gives the baseline, so
+    M_n takes 2*dim + 5 - n(n+1)/2 calls of ``op_p`` (17 on M3).
     """
-    alg = p.algebra
-    lo = op.eval(p, alg.scalar(0.5))
+    images: dict[tuple[bytes, ...], Element] = {}
+
+    def image(q: Element) -> Element:
+        key = tuple(b.tobytes() for b in q.blocks)
+        if key not in images:
+            images[key] = op_p(q)
+        return images[key]
+
+    lo = image(alg.scalar(0.5))
     half = 0.5 * alg.unit()
 
     def on_self_adjoint(h: Element) -> Element:
@@ -343,16 +370,14 @@ def _linearize_in_q(op: BinOpSpec, p: Element,
         # shift h into the effects around 1/2 and take a difference quotient.
         norm = operator_norm(h)
         scale = 1.0 if norm == 0.0 else 0.25 / norm
-        return (1.0 / scale) * (op.eval(p, half + scale * h) - lo)
+        return (1.0 / scale) * (image(half + scale * h) - lo)
 
-    images = []
-    for e in alg.basis():
-        images.append(on_self_adjoint(symmetrize(e)) + 1j * on_self_adjoint(imag_part(e)))
-    f = make_map(alg, alg, images)
+    f = make_map(alg, alg, [on_self_adjoint(symmetrize(e)) + 1j * on_self_adjoint(imag_part(e))
+                            for e in alg.basis()])
     rng = np.random.default_rng(7)
     for _ in range(4):
         q = random_effect(alg, rng)
-        if not equal(apply(f, q), op.eval(p, q), tol):
+        if not equal(apply(f, q), op_p(q), tol):
             return None
     return f
 
@@ -371,16 +396,15 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
     structured effects (which force the known violations deterministically)
     with seeded random ones.
 
-    Axioms B and E share one linearization of q -> op(p, q) per effect p,
-    built at most once per call (see :func:`_linearize_in_q` for its cost).
+    Each element the checks use as a left operand p gets ``op.at(p)`` once
+    per call (elements hash by identity), so the work on p alone is done
+    once.  Axioms B and E share one linearization of q -> op(p, q) per
+    effect p, built at most once per call (see :func:`_linearize_in_q` for
+    its cost).
     """
     rng = np.random.default_rng(seed)
-    linearized: dict[Element, Optional[LinMap]] = {}
-
-    def linearize(p: Element) -> Optional[LinMap]:
-        if p not in linearized:
-            linearized[p] = _linearize_in_q(op, p, tol)
-        return linearized[p]
+    at = functools.cache(op.at)
+    linearize = functools.cache(lambda p: _linearize_in_q(at(p), p.algebra, tol))
 
     wtol = ToleranceConfig(eps_rel=check_tol, eps_abs=check_tol,
                            snap_eps=max(check_tol, tol.snap_eps))
@@ -393,8 +417,8 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
     status, witness = "pass", None
     one = algebra.unit()
     for p in effects:
-        if not equal(op.eval(p, one), p, wtol):
-            status, witness = "fail", _witness("A", p=p, value=op.eval(p, one))
+        if not equal(at(p)(one), p, wtol):
+            status, witness = "fail", _witness("A", p=p, value=at(p)(one))
             break
     report["A"] = {"status": status, "witness": witness}
 
@@ -414,8 +438,9 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
     status, witness = "pass", None
     for p in effects:
         q = random_effect(algebra, rng)
-        lhs = op.eval(p, op.eval(p, q))
-        rhs = op.eval(op.eval(p, p), q)
+        op_p = at(p)
+        lhs = op_p(op_p(q))
+        rhs = at(op_p(p))(q)
         if not equal(lhs, rhs, wtol):
             status, witness = "fail", _witness("C", p=p, q=q)
             break
@@ -429,7 +454,7 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
         status, witness = "pass", None
         for p in effects:
             q = op.d_witness(p)
-            if not equal(op.eval(q, q), p, wtol):
+            if not equal(at(q)(q), p, wtol):
                 status, witness = "fail", _witness("D", p=p, q=q)
                 break
         report["D"] = {"status": status, "witness": witness}
@@ -447,8 +472,8 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
         if f is not None:
             candidates.extend(_directed_e_pairs(f, e2, tol))
         for e1, e2c in candidates:
-            lhs = _below_complement(op.eval(p, e1), e2c, wtol)
-            rhs = _below_complement(op.eval(p, e2c), e1, wtol)
+            lhs = _below_complement(at(p)(e1), e2c, wtol)
+            rhs = _below_complement(at(p)(e2c), e1, wtol)
             if lhs != rhs:
                 status = "fail"
                 witness = _witness("E", p=p, e1=e1, e2=e2c,

@@ -22,6 +22,11 @@ inner product, Gram entry, band or corner image at a time;
 oracle one ``Element`` at a time, where the battery stacks the tuple into
 arrays; ``test_npos_oracle.py`` holds the two to the same draws and verdicts.
 
+``seq_product`` and ``uncurried_ops`` are the sequential product and the
+four counterexample operations as they read before they were curried: each
+evaluation op(p, q) redoes the work on p; ``test_curried_ops.py`` holds the
+axiom checker's reports on the library's curried operations to them.
+
 ``sqrt_iterative`` and ``eigen_oracle_charpoly`` compute roots and
 eigenvalues without an eigensolver, for ``test_spectral.py``.
 
@@ -36,20 +41,21 @@ import numpy as np
 import scipy.linalg
 
 from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _unit_index, add,
-                          adjoint, direct_sum, hs_inner, mul, operator_norm, orthosupplement,
-                          symmetrize)
+                          adjoint, direct_sum, hs_inner, is_effect, mul, operator_norm,
+                          orthosupplement, symmetrize)
 from vnalg.algebra import is_positive as lib_is_positive
 from vnalg.algebra import is_self_adjoint as lib_is_self_adjoint
 from vnalg.division import ApproxPseudoinverse
 from vnalg.division import pseudoinverse as lib_pseudoinverse
-from vnalg.errors import (CarrierViolated, FilterBoundViolated, NotFinite, NotNormal,
-                          NotPositive, NotProjection)
+from vnalg.errors import (CarrierViolated, FilterBoundViolated, NotEffect, NotFinite,
+                          NotNormal, NotPositive, NotProjection)
 from vnalg.maps import LinMap, _unit_image, apply, carrier, compose, is_unital, make_map
 from vnalg.maps import choi_blocks as lib_choi_blocks
-from vnalg.measurement import bracket, corner_algebra
-from vnalg.projections import _require_projections, _span, ceiling, left_mult_matrix
+from vnalg.measurement import BinOpSpec, _sign_above_half, bracket, corner_algebra
+from vnalg.projections import _require_projections, _span, ceiling, floor, left_mult_matrix
 from vnalg.sampling import random_element
-from vnalg.spectral import _apply_block
+from vnalg.spectral import _apply_block, _exp_phase
+from vnalg.spectral import functional_calculus as lib_functional_calculus
 from vnalg.spectral import is_normal as lib_is_normal
 from vnalg.spectral import sqrt as lib_sqrt
 from vnalg.tensor import tensor_algebra, tensor_elements
@@ -643,6 +649,53 @@ def factor_through_filter_loop(f, d, tol=DEFAULT_TOL):
         y = mul(mul(pinv_root, apply(f, b)), pinv_root)
         images.append(apply(ctx.compress, y))
     return make_map(f.dom, ctx.corner, images)
+
+
+# ---------------------------------------------------------------------------
+# the effect operations, uncurried
+
+def seq_product(p, q, tol=DEFAULT_TOL):
+    """``measurement.seq_product``: both operands judged, then sqrt(p) q sqrt(p)."""
+    if not (is_effect(p, tol) and is_effect(q, tol)):
+        raise NotEffect("sequential product needs effects")
+    root = lib_sqrt(p, tol)
+    return mul(mul(root, q), root)
+
+
+def uncurried_ops(tol=DEFAULT_TOL):
+    """``measurement.standard_op`` and ``counterexample_ops``, each op(p, q)
+    computed in full on every call: ``at(p)`` only binds p."""
+
+    def op_ceil(p, q):
+        c = ceiling(p, tol)
+        return mul(mul(c, q), c)
+
+    def op_floorsplit(p, q):
+        fl = floor(p, tol)
+        rest = p - fl
+        root = lib_sqrt(symmetrize(rest), tol)
+        return mul(mul(fl, q), fl) + mul(mul(root, q), root)
+
+    def conjugated_product(g):
+        def op(p, q):
+            u = lib_functional_calculus(p, g, tol)
+            root = lib_sqrt(p, tol)
+            inner = mul(mul(adjoint(u), q), u)
+            return mul(mul(root, inner), root)
+        return op
+
+    def spec(name, body, d_witness, target_axiom):
+        return BinOpSpec(name, lambda p: lambda q: body(p, q), d_witness, target_axiom)
+
+    def root(p):
+        return lib_sqrt(p, tol)
+    return [
+        spec("std", lambda p, q: seq_product(p, q, tol), root, None),
+        spec("ceil", op_ceil, lambda p: p, "A"),
+        spec("floorsplit", op_floorsplit, root, "B"),
+        spec("sign", conjugated_product(_sign_above_half), root, "C"),
+        spec("phase", conjugated_product(_exp_phase), root, "E"),
+    ]
 
 
 # ---------------------------------------------------------------------------

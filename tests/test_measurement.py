@@ -303,23 +303,32 @@ def test_counterexamples_fail_exactly_their_axiom(dims):
 
 
 def _counting(op):
-    """op with every evaluation recorded as its (p, q) pair."""
+    """op with every q-side evaluation recorded as its (p, q) pair."""
     calls = []
 
-    def counted(p, q):
-        calls.append((p, q))
-        return op.eval(p, q)
-    return dataclasses.replace(op, eval=counted), calls
+    def at(p):
+        op_p = op.at(p)
+
+        def counted(q):
+            calls.append((p, q))
+            return op_p(q)
+        return counted
+    return dataclasses.replace(op, at=at), calls
 
 
 @pytest.mark.parametrize("name", ["std", "sign"])
 def test_linearize_in_q_evaluation_budget(name):
     # One shared baseline op(p, 1/2), two directions per basis element,
-    # four sanity checks.
+    # four sanity checks; an argument equal bit for bit to an earlier one is
+    # read back.  On M3 that saves 6 of 23: the symmetric parts of E_ij and
+    # E_ji agree (3 pairs), and the zero imaginary part of each of the 3
+    # diagonal units gives the baseline argument 1/2.
     op, calls = _counting(named_op(name, M3))
     p = random_effect(M3, np.random.default_rng(21))
-    assert measurement._linearize_in_q(op, p, DEFAULT_TOL) is not None
-    assert len(calls) == 2 * M3.dim + 1 + 4
+    assert measurement._linearize_in_q(op.at(p), M3, DEFAULT_TOL) is not None
+    assert len(calls) == 2 * M3.dim + 1 + 4 - 6
+    keys = [tuple(b.tobytes() for b in q.blocks) for _, q in calls]
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("name", ["std", "sign"])
@@ -327,16 +336,42 @@ def test_check_axioms_linearizes_each_effect_once(name, monkeypatch):
     seen = []
     linearize = measurement._linearize_in_q
 
-    def recording(op, p, tol):
-        seen.append(tuple(b.tobytes() for b in p.blocks))
-        return linearize(op, p, tol)
+    def recording(op_p, alg, tol):
+        seen.append(op_p)
+        return linearize(op_p, alg, tol)
     monkeypatch.setattr(measurement, "_linearize_in_q", recording)
     rep = check_axioms(named_op(name, M2), M2, trials=3, seed=5, purity_trials=2)
     assert rep["B"]["status"] == rep["E"]["status"] == "pass"
-    assert len(seen) == len(set(seen))
+    # Each linearization gets its own effect's curried op.
+    assert len({id(op_p) for op_p in seen}) == len(seen)
     # B reaches the structured and purity effects, E the structured and
     # random trial effects; the structured ones are shared.
     assert len(seen) == len(measurement._structured_effects(M2)) + 2 + 3
+
+
+@pytest.mark.parametrize("name", ["std", "ceil", "floorsplit", "sign", "phase"])
+def test_check_axioms_curries_each_effect_once(name):
+    op = named_op(name, M2)
+    seen = []
+
+    def at(p):
+        seen.append(p)
+        return op.at(p)
+    trials, purity_trials = 3, 2
+    rep = check_axioms(dataclasses.replace(op, at=at), M2, trials=trials, seed=5,
+                       purity_trials=purity_trials)
+    for axiom, res in rep.items():
+        assert res["status"] == ("fail" if axiom == op.target_axiom else "pass"), (axiom, res)
+    # No element is curried twice (the list keeps each one alive, so ids are
+    # not reused).
+    assert len({id(p) for p in seen}) == len(seen)
+    if name == "std":
+        # The counterexamples stop at their axiom's first failure; std runs
+        # every loop to the end.  A and E curry the corpus effects, B the
+        # purity effects too; C adds op(p, p) and D the witness q, one fresh
+        # element per corpus effect each.
+        corpus = len(measurement._structured_effects(M2)) + trials
+        assert len(seen) == corpus + purity_trials + 2 * corpus
 
 
 def test_ceil_op_forced_witness():
