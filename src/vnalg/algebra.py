@@ -169,12 +169,11 @@ def _block_diag(*mats) -> np.ndarray:
 class Element:
     """A member of an :class:`FdAlgebra`: one dense complex matrix per block.
 
-    ``_norm`` caches :func:`operator_norm` and ``_sqrt`` the last
-    ``(tol, root)`` of :func:`vnalg.spectral.sqrt`; an element never changes,
-    so neither cache can go stale.
+    ``_norm`` caches :func:`operator_norm`; an element never changes, so the
+    cache cannot go stale.
     """
 
-    __slots__ = ("algebra", "blocks", "_norm", "_sqrt")
+    __slots__ = ("algebra", "blocks", "_norm")
 
     def __init__(self, algebra: FdAlgebra, blocks: Sequence[np.ndarray]):
         blocks = tuple(np.array(b, dtype=complex) for b in blocks)
@@ -188,7 +187,7 @@ class Element:
     def _fill(self, algebra: FdAlgebra, blocks: tuple[np.ndarray, ...]) -> "Element":
         for b in blocks:
             b.setflags(write=False)
-        for slot, value in zip(Element.__slots__, (algebra, blocks, None, None)):
+        for slot, value in zip(Element.__slots__, (algebra, blocks, None)):
             object.__setattr__(self, slot, value)
         return self
 

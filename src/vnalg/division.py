@@ -15,9 +15,9 @@ import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, _diff_blocks, _eigh,
                       _norm_gate, _require_finite, adjoint, is_positive, mul, operator_norm)
-from .errors import DivisionUndefined, NotPositive, QuotientUndefined
+from .errors import DivisionUndefined, NotFinite, NotPositive, QuotientUndefined
 from .projections import _rank
-from .spectral import sqrt
+from .spectral import _root
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,10 @@ def pseudoinverse(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     for b in a.blocks:
         _require_finite(b, "element")
         zero = _norm_gate([b], tol.eps_abs, lambda: tol.eps_abs)
-        blocks.append(np.zeros_like(b) if zero else np.linalg.pinv(b, rcond=tol.snap_eps))
+        inv = np.zeros_like(b) if zero else np.linalg.pinv(b, rcond=tol.snap_eps)
+        if not (zero or inv.any()):  # pinv cuts every singular value below an infinite one
+            raise NotFinite("the largest singular value overflows")
+        blocks.append(inv)
     return a.algebra.element(blocks)
 
 
@@ -171,7 +174,7 @@ def seq_quotient(a: Element, b: Element, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """The unique positive c supported under b with sqrt(b) c sqrt(b) = a."""
     if not (is_positive(a, tol) and is_positive(b, tol)):
         raise NotPositive("seq_quotient needs positive elements")
-    root = sqrt(b, tol)
+    root = _root(b, tol)
     pinv_root = pseudoinverse(root, tol)
     c = mul(mul(pinv_root, a), pinv_root)
     if not _reconstruction_ok(mul(mul(root, c), root), a, tol):

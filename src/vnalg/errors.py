@@ -74,3 +74,7 @@ class PostconditionViolated(VnalgError):
 
 class NotCommutative(VnalgError):
     name = "NotCommutative"
+
+
+class SampleBudgetExhausted(VnalgError, RuntimeError):
+    name = "SampleBudgetExhausted"

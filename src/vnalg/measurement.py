@@ -30,7 +30,7 @@ from .maps import (LinMap, _is_bijective, _sandwich_matrix, _unit_image, apply,
 from .projections import ceiling, certify_projection, floor
 from .division import pseudoinverse
 from .sampling import random_effect, random_projection
-from .spectral import _exp_phase, functional_calculus, sqrt
+from .spectral import _exp_phase, _root, functional_calculus, sqrt
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def standard_filter(p: Element, tol: ToleranceConfig = DEFAULT_TOL) -> LinMap:
     """The map a -> sqrt(p) a sqrt(p) from the corner of ceiling(p)."""
     if not is_positive(p, tol):
         raise NotPositive("standard filter needs a positive element")
-    root = sqrt(p, tol)
+    root = _root(p, tol)
     ctx = corner_algebra(ceiling(p, tol), tol)
     return compose(mult_map(root, root), ctx.embed)
 
@@ -147,7 +147,7 @@ def _corner_quotient(dom: FdAlgebra, images, bound: Element,
     into the corner of ceiling(bound).  ceiling runs first: it is what
     reports a bound that is not positive."""
     ctx = corner_algebra(ceiling(bound, tol), tol)
-    pinv_root = pseudoinverse(sqrt(bound, tol), tol)
+    pinv_root = pseudoinverse(_root(bound, tol), tol)
     return make_map(dom, ctx.corner, [apply(ctx.compress, mul(mul(pinv_root, y), pinv_root))
                                       for y in images])
 
@@ -229,7 +229,7 @@ def _seq_at(p: Element, tol: ToleranceConfig) -> Callable[[Element], Element]:
     """q -> sqrt(p) q sqrt(p), with p checked and its root taken once."""
     if not is_effect(p, tol):
         raise NotEffect("sequential product needs effects")
-    root = sqrt(p, tol)
+    root = _root(p, tol)
 
     def at_p(q: Element) -> Element:
         if not is_effect(q, tol):
@@ -342,44 +342,43 @@ def _structured_effects(algebra: FdAlgebra) -> list[Element]:
     return out
 
 
-def _linearize_in_q(op_p: Callable[[Element], Element], alg: FdAlgebra,
-                    tol: ToleranceConfig) -> Optional[LinMap]:
-    """The map q -> op(p, q), given ``op_p = op.at(p)``, or None if four
-    random effects refute it.
-
-    Budget: one baseline evaluation op(p, 1/2) shared by every direction,
-    two per basis element (its self-adjoint parts h and s), then four
-    sanity evaluations; an argument equal bit for bit to an earlier one is
-    read back, not evaluated.  The symmetric parts of E_ij and E_ji agree,
-    and the zero imaginary part of a diagonal unit gives the baseline, so
-    M_n takes 2*dim + 5 - n(n+1)/2 calls of ``op_p`` (17 on M3).
-    """
-    images: dict[tuple[bytes, ...], Element] = {}
-
-    def image(q: Element) -> Element:
-        key = tuple(b.tobytes() for b in q.blocks)
-        if key not in images:
-            images[key] = op_p(q)
-        return images[key]
-
-    lo = image(alg.scalar(0.5))
+@functools.lru_cache(maxsize=None)
+def _probes(alg: FdAlgebra) -> tuple[tuple[Element, ...], tuple, tuple[Element, ...]]:
+    """What :func:`_linearize_in_q` evaluates on ``alg``: the distinct
+    arguments (one per byte pattern), 1/2 first; the (argument index, scale)
+    of each basis element's self-adjoint parts h and s; four random effects.
+    The symmetric parts of E_ij and E_ji agree, and the zero imaginary part
+    of a diagonal unit gives 1/2, so M_n has 2*dim + 1 - n(n+1)/2 arguments."""
+    seen: dict[tuple[bytes, ...], tuple[int, Element]] = {}
     half = 0.5 * alg.unit()
 
-    def on_self_adjoint(h: Element) -> Element:
+    def part(h: Element) -> tuple[int, float]:
         # Candidate operations are only guaranteed on effect arguments, so
-        # shift h into the effects around 1/2 and take a difference quotient.
+        # shift h into the effects around 1/2.
         norm = operator_norm(h)
         scale = 1.0 if norm == 0.0 else 0.25 / norm
-        return (1.0 / scale) * (image(half + scale * h) - lo)
+        q = half + scale * h
+        return seen.setdefault(tuple(b.tobytes() for b in q.blocks), (len(seen), q))[0], scale
 
-    f = make_map(alg, alg, [on_self_adjoint(symmetrize(e)) + 1j * on_self_adjoint(imag_part(e))
-                            for e in alg.basis()])
+    part(alg.zero())  # 1/2 itself
+    parts = tuple((part(symmetrize(e)), part(imag_part(e))) for e in alg.basis())
     rng = np.random.default_rng(7)
-    for _ in range(4):
-        q = random_effect(alg, rng)
-        if not equal(apply(f, q), op_p(q), tol):
-            return None
-    return f
+    return (tuple(q for _, q in seen.values()), parts,
+            tuple(random_effect(alg, rng) for _ in range(4)))
+
+
+def _linearize_in_q(op_p: Callable[[Element], Element], alg: FdAlgebra,
+                    tol: ToleranceConfig) -> Optional[LinMap]:
+    """The map q -> op(p, q), given ``op_p = op.at(p)``, as difference
+    quotients (op(p, 1/2 + scale*h) - op(p, 1/2)) / scale over the arguments
+    of :func:`_probes`; None if one of its four random effects refutes it.
+    M_n takes 2*dim + 5 - n(n+1)/2 calls of ``op_p`` (17 on M3)."""
+    args, parts, sanity = _probes(alg)
+    images = [op_p(q) for q in args]
+    lo = images[0]
+    f = make_map(alg, alg, [(1.0 / hs) * (images[h] - lo) + 1j * ((1.0 / ss) * (images[s] - lo))
+                            for (h, hs), (s, ss) in parts])
+    return f if all(equal(apply(f, q), op_p(q), tol) for q in sanity) else None
 
 
 def _witness(axiom: str, **kw) -> dict:

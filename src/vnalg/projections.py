@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
                       _diff_blocks, _eigh, _norm_gate, _require_finite, adjoint, is_effect,
                       is_positive, is_self_adjoint, operator_norm, orthosupplement)
-from .errors import NotEffect, NotPositive, NotProjection
+from .errors import NotEffect, NotFinite, NotPositive, NotProjection
 from .sampling import random_projection
 
 
@@ -115,6 +115,8 @@ def _rank(s: np.ndarray, tol: ToleranceConfig) -> int:
     the largest; none when the largest is at most eps_abs."""
     if s.size == 0 or s[0] <= tol.eps_abs:
         return 0
+    if not np.isfinite(s[0]):
+        raise NotFinite("the largest singular value overflows")
     return int(np.sum(s > tol.snap_eps * s[0]))
 
 

@@ -132,15 +132,15 @@ def functional_calculus(a: Element, f: Callable[[complex], complex],
 
 
 def sqrt(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
-    """The unique positive square root of a positive element, kept on ``a``
-    for the next call with the same ``tol``."""
-    if a._sqrt is not None and a._sqrt[0] == tol:
-        return a._sqrt[1]
+    """The unique positive square root of a positive element."""
     if not is_positive(a, tol):
         raise NotPositive("sqrt needs a positive element")
-    root = _calculus(a, _NAMED["sqrt"], True, tol)
-    object.__setattr__(a, "_sqrt", (tol, root))
-    return root
+    return _root(a, tol)
+
+
+def _root(a: Element, tol: ToleranceConfig) -> Element:
+    """sqrt of an element its caller has checked positive with ``tol``."""
+    return _calculus(a, _NAMED["sqrt"], True, tol)
 
 
 def _pow(alpha: float) -> Callable[[complex], complex]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig,
                       _unit_index, direct_sum, is_positive)
-from .errors import AlgebraMismatch, ShapeMismatch
+from .errors import AlgebraMismatch, SampleBudgetExhausted, ShapeMismatch
 from .maps import LinMap, apply, block_projection, compose, identity_map, maps_equal
 from . import sampling
 
@@ -161,8 +161,8 @@ def duplicability_witness(algebra: FdAlgebra, samples: int = 1000, seed: int = 0
     """A positive element of the tensor square that multiplication maps to a
     non-positive element; None only for duplicable algebras.
 
-    Sampling failure on a non-commutative algebra raises, rather than
-    letting a flaky search masquerade as duplicability.
+    A search that finds none raises :class:`SampleBudgetExhausted` rather
+    than letting a flaky search masquerade as duplicability.
     """
     if is_duplicable(algebra):
         return None
@@ -173,7 +173,7 @@ def duplicability_witness(algebra: FdAlgebra, samples: int = 1000, seed: int = 0
         w = sampling.random_rank_one_positive(ts.product, rng)
         if not is_positive(apply(m, w), tol):
             return w
-    raise RuntimeError("no positivity violation found; sample budget too small")
+    raise SampleBudgetExhausted("no positivity violation found; sample budget too small")
 
 
 def classical_points(algebra: FdAlgebra) -> list[int]:

@@ -25,7 +25,9 @@ arrays; ``test_npos_oracle.py`` holds the two to the same draws and verdicts.
 ``seq_product`` and ``uncurried_ops`` are the sequential product and the
 four counterexample operations as they read before they were curried: each
 evaluation op(p, q) redoes the work on p; ``test_curried_ops.py`` holds the
-axiom checker's reports on the library's curried operations to them.
+axiom checker's reports on the library's curried operations to them, and
+the linearizations of ``measurement._linearize_in_q`` to ``linearize_in_q``,
+which rebuilds its arguments and sanity effects on every call.
 
 ``sqrt_iterative`` and ``eigen_oracle_charpoly`` compute roots and
 eigenvalues without an eigensolver, for ``test_spectral.py``.
@@ -43,6 +45,8 @@ import scipy.linalg
 from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _unit_index, add,
                           adjoint, direct_sum, hs_inner, is_effect, mul, operator_norm,
                           orthosupplement, symmetrize)
+from vnalg.algebra import equal as lib_equal
+from vnalg.algebra import imag_part
 from vnalg.algebra import is_positive as lib_is_positive
 from vnalg.algebra import is_self_adjoint as lib_is_self_adjoint
 from vnalg.division import ApproxPseudoinverse
@@ -53,7 +57,7 @@ from vnalg.maps import LinMap, _unit_image, apply, carrier, compose, is_unital, 
 from vnalg.maps import choi_blocks as lib_choi_blocks
 from vnalg.measurement import BinOpSpec, _sign_above_half, bracket, corner_algebra
 from vnalg.projections import _require_projections, _span, ceiling, floor, left_mult_matrix
-from vnalg.sampling import random_element
+from vnalg.sampling import random_effect, random_element
 from vnalg.spectral import _apply_block, _exp_phase
 from vnalg.spectral import functional_calculus as lib_functional_calculus
 from vnalg.spectral import is_normal as lib_is_normal
@@ -696,6 +700,35 @@ def uncurried_ops(tol=DEFAULT_TOL):
         spec("sign", conjugated_product(_sign_above_half), root, "C"),
         spec("phase", conjugated_product(_exp_phase), root, "E"),
     ]
+
+
+def linearize_in_q(op_p, alg, tol=DEFAULT_TOL):
+    """``measurement._linearize_in_q``, keying each image on the bytes of its
+    argument within one call and drawing its four sanity effects per call."""
+    images = {}
+
+    def image(q):
+        key = tuple(b.tobytes() for b in q.blocks)
+        if key not in images:
+            images[key] = op_p(q)
+        return images[key]
+
+    lo = image(alg.scalar(0.5))
+    half = 0.5 * alg.unit()
+
+    def on_self_adjoint(h):
+        norm = operator_norm(h)
+        scale = 1.0 if norm == 0.0 else 0.25 / norm
+        return (1.0 / scale) * (image(half + scale * h) - lo)
+
+    f = make_map(alg, alg, [on_self_adjoint(symmetrize(e)) + 1j * on_self_adjoint(imag_part(e))
+                            for e in alg.basis()])
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        q = random_effect(alg, rng)
+        if not lib_equal(apply(f, q), op_p(q), tol):
+            return None
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from vnalg import (adjoint, add, approximate_pseudoinverse, ceiling, divide,
                    douglas_lambda, equal, is_positive, left_divide, leq,
                    make_algebra, mul, mvn_below, operator_norm, polar,
-                   pseudoinverse, range_projection, sandwich_divide,
+                   pseudoinverse, range_projection, rank_profile, sandwich_divide,
                    seq_quotient, snap_projection, support)
 from vnalg.errors import DivisionUndefined, NotFinite, QuotientUndefined
 from vnalg.sampling import (random_element, random_positive, random_projection,
@@ -284,4 +284,15 @@ def test_full_svds_refuse_non_finite_blocks(fn, value, capfd):
     b[0, 0] = value
     with pytest.raises(NotFinite):
         fn(M3.element([b]))
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fn", [support, range_projection, polar, rank_profile, pseudoinverse])
+def test_an_overflowing_largest_singular_value_is_not_finite(fn, capfd):
+    # Finite entries whose largest singular value overflows to inf: a rank
+    # cut relative to it would keep nothing, and pinv would return zeros.
+    a = M2.element([np.full((2, 2), 1e308)])
+    assert np.linalg.svd(a.blocks[0], compute_uv=False)[0] == np.inf
+    with pytest.raises(NotFinite):
+        fn(a)
     assert capfd.readouterr().err == ""

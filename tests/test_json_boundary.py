@@ -57,6 +57,20 @@ def test_non_finite_entries_are_a_precondition_error(command, text):
     assert (code, out["error"]) == (2, "NotFinite")
 
 
+@pytest.mark.parametrize("command", ["support", "range", "pinv", "polar"])
+def test_an_overflowing_singular_value_is_not_finite(command):
+    # Finite entries, but the largest singular value overflows to inf.
+    data = {"algebra": {"dims": [2]}, "blocks": [[[[1e308, 0.0]] * 2] * 2]}
+    code, out = run_cli([command], dumps(data))
+    assert (code, out["error"]) == (2, "NotFinite")
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_dup_check_with_no_samples_left_is_a_precondition_error(samples):
+    code, out = run_cli(["dup-check", "--algebra", "2", "--samples", samples], "")
+    assert (code, out["error"]) == (2, "SampleBudgetExhausted")
+
+
 MALFORMED = {
     "bare number block": lambda el: {**el, "blocks": [5]},
     "bare number blocks": lambda el: {**el, "blocks": 5},

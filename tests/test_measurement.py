@@ -20,7 +20,7 @@ from vnalg.errors import (CarrierViolated, FilterBoundViolated, NotEffect,
                           PostconditionViolated, ShapeMismatch)
 from vnalg.maps import random_cp_map
 from vnalg import measurement
-from vnalg.measurement import named_op
+from vnalg.measurement import BinOpSpec, named_op
 from vnalg.sampling import (random_effect, random_element, random_positive,
                             random_projection, random_self_adjoint,
                             random_unitary)
@@ -319,16 +319,38 @@ def _counting(op):
 @pytest.mark.parametrize("name", ["std", "sign"])
 def test_linearize_in_q_evaluation_budget(name):
     # One shared baseline op(p, 1/2), two directions per basis element,
-    # four sanity checks; an argument equal bit for bit to an earlier one is
-    # read back.  On M3 that saves 6 of 23: the symmetric parts of E_ij and
-    # E_ji agree (3 pairs), and the zero imaginary part of each of the 3
-    # diagonal units gives the baseline argument 1/2.
+    # four sanity checks; the per-algebra probe table lists an argument
+    # equal bit for bit to an earlier one once.  On M3 that saves 6 of 23:
+    # the symmetric parts of E_ij and E_ji agree (3 pairs), and the zero
+    # imaginary part of each of the 3 diagonal units gives the baseline 1/2.
     op, calls = _counting(named_op(name, M3))
     p = random_effect(M3, np.random.default_rng(21))
     assert measurement._linearize_in_q(op.at(p), M3, DEFAULT_TOL) is not None
     assert len(calls) == 2 * M3.dim + 1 + 4 - 6
     keys = [tuple(b.tobytes() for b in q.blocks) for _, q in calls]
     assert len(set(keys)) == len(keys)
+
+
+def test_check_axioms_reports_an_operation_not_linear_in_q_and_without_witness():
+    # q -> q q ignores p: B finds no linearization and D has no witness.
+    op = BinOpSpec("square", lambda p: lambda q: mul(q, q))
+    rep = check_axioms(op, M2, trials=3, seed=5, purity_trials=2)
+    assert rep["B"]["status"] == "n/a"
+    assert rep["B"]["witness"]["reason"] == "not linear in q"
+    assert rep["D"] == {"status": "n/a",
+                        "witness": {"axiom": "D", "reason": "no witness supplied"}}
+    assert rep["A"]["status"] == rep["C"]["status"] == "fail"
+
+
+def test_check_axioms_fails_d_on_a_wrong_witness():
+    # op(p, p) = p^2 differs from p for the first structured effect diag(1/2, 0).
+    op = dataclasses.replace(standard_op(), d_witness=lambda p: p)
+    rep = check_axioms(op, M2, trials=3, seed=5, purity_trials=2)
+    assert {k: v["status"] for k, v in rep.items()} == {
+        "A": "pass", "B": "pass", "C": "pass", "D": "fail", "E": "pass"}
+    w = rep["D"]["witness"]
+    assert w["q"] is w["p"]
+    assert np.array_equal(w["p"].blocks[0], np.diag([0.5, 0.0]))
 
 
 @pytest.mark.parametrize("name", ["std", "sign"])

@@ -8,8 +8,8 @@ where ||x||_2 = ||x||_F; and with NaN and inf entries.  The norm tests of
 the other modules (map equality and complete positivity, central supports,
 zero tests, reconstruction and membership checks, the battery's relative
 check) are held to their old SVD bodies the same way.  The last tests pin
-the work the gates, the unchecked arithmetic constructor and the square-root
-memo save, as SVD and eigh counts.
+the work the gates and the unchecked arithmetic constructor save, as SVD and
+eigh counts.
 """
 
 import copy
@@ -25,9 +25,8 @@ import loop_oracles as oracle
 from vnalg import (adjoint, conjugation_map, equal, functional_calculus, is_involutive,
                    is_multiplicative, is_positive, is_self_adjoint, make_algebra,
                    operator_norm, seq_product, sqrt)
-from vnalg.algebra import DEFAULT_TOL, Element, ToleranceConfig, symmetrize
+from vnalg.algebra import DEFAULT_TOL, Element, symmetrize
 from vnalg.division import _reconstruction_ok, pseudoinverse
-from vnalg.errors import NotPositive
 from vnalg.maps import (LinMap, choi_blocks, is_completely_positive, maps_equal,
                         random_cp_map)
 from vnalg.measurement import _below_complement, factor_through_corner, is_pure
@@ -484,35 +483,12 @@ def test_seq_product_on_hermitian_effects_runs_no_svd(counts):
     assert counts["eigh"] > 0
 
 
-def test_sqrt_is_kept_per_tolerance(counts):
-    (p,) = _hermitian_effects(make_algebra([2, 3]), 1)
-    root = sqrt(p)
-    before = counts["eigh"]
-    assert sqrt(p) is root
-    assert sqrt(p, ToleranceConfig()) is root  # an equal tolerance
-    assert counts["eigh"] == before
-    other = ToleranceConfig(eps_rel=1e-8)
-    again = sqrt(p, other)
-    assert counts["eigh"] > before
-    assert again is not root
-    assert all(np.array_equal(x, y) for x, y in zip(again.blocks, root.blocks))
-
-
-def test_sqrt_never_keeps_a_refusal():
-    a = make_algebra([2]).element([np.diag([1.0, -1.0])])
-    for _ in range(2):
-        with pytest.raises(NotPositive):
-            sqrt(a)
-    assert a._sqrt is None
-
-
 @pytest.mark.parametrize("clone", [pickle.loads, copy.copy, copy.deepcopy])
 def test_copied_elements_start_with_empty_caches(clone):
     (p,) = _hermitian_effects(make_algebra([2, 1]), 1)
-    sqrt(p)
     operator_norm(p)
     q = clone(pickle.dumps(p)) if clone is pickle.loads else clone(p)
-    assert q._sqrt is None and q._norm is None
+    assert q._norm is None
     assert all(np.array_equal(x, y) for x, y in zip(q.blocks, p.blocks))
 
 
@@ -528,7 +504,7 @@ def test_arithmetic_results_are_read_only_and_laid_out_as_copies():
             assert b.strides == np.array(b, order="K").strides
             with pytest.raises(ValueError):
                 b[0, 0] = 1.0
-        assert r._norm is None and r._sqrt is None
+        assert r._norm is None
 
 
 def test_passing_map_tests_run_no_svd(counts):

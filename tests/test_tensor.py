@@ -11,7 +11,7 @@ from vnalg import (adjoint, apply, associator, bang, bang_unit, braiding,
                    multiplication_map, operator_norm, right_unitor,
                    snap_projection, tensor_algebra, tensor_elements,
                    tensor_maps)
-from vnalg.errors import AlgebraMismatch
+from vnalg.errors import AlgebraMismatch, SampleBudgetExhausted, VnalgError
 from vnalg.maps import LinMap, block_projection, random_cp_map, scalar_value, random_state
 from vnalg.sampling import random_element, random_positive
 from vnalg.tensor import factor_through_classical
@@ -239,6 +239,13 @@ def test_duplicator_none_and_witness_for_matrix_block():
     assert w is not None
     assert is_positive(w)
     assert not is_positive(apply(multiplication_map(M2), w))
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_an_exhausted_sample_budget_is_a_typed_error(samples):
+    with pytest.raises(SampleBudgetExhausted) as err:
+        duplicability_witness(M2, samples=samples)
+    assert isinstance(err.value, VnalgError) and isinstance(err.value, RuntimeError)
 
 
 def test_one_bad_block_spoils_duplicability():
