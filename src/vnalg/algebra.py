@@ -204,9 +204,6 @@ class Element:
         # The default slot-state restore would go through __setattr__.
         return Element, (self.algebra, self.blocks)
 
-    def block(self, i: int) -> np.ndarray:
-        return self.blocks[i]
-
     def coords(self) -> np.ndarray:
         """Row-major coordinates in the canonical matrix-unit basis."""
         if not self.blocks:

@@ -45,6 +45,13 @@ def _tolerance(text: str) -> ToleranceConfig:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count(text: str) -> int:
+    """A non-negative int option value; anything else is a usage error naming the option."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return int(text)
+
+
 def _read_payload(args):
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["std", "ceil", "floorsplit", "sign", "phase"])
     p.add_argument("--algebra", required=True,
                    help="comma separated block sizes, e.g. 2,3")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count, default=200)
 
     command("tensor", cmd_tensor, payload=False, tol=False).add_argument(
         "--algebras", required=True,
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gen", cmd_gen, payload=False, seed=True, tol=False)
     p.add_argument("--kind", required=True, choices=list(_SAMPLERS))
     p.add_argument("--algebra", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     return parser
 
 

@@ -10,13 +10,14 @@ independent cross-check of the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, _diff_blocks, _eigh,
-                      _norm_gate, _require_finite, adjoint, is_positive, mul, operator_norm)
-from .errors import DivisionUndefined, NotFinite, NotPositive, QuotientUndefined
-from .projections import _rank
+                      _norm_gate, add, adjoint, is_positive, mul, operator_norm)
+from .errors import DivisionUndefined, NotPositive, QuotientUndefined
+from .projections import _ranked_svd
 from .spectral import _root
 
 
@@ -40,27 +41,21 @@ class ApproxPseudoinverse:
     thresholds: tuple[tuple[float, float], ...]
 
     def total(self, algebra) -> Element:
-        out = algebra.zero()
-        for t in self.terms:
-            out = out + t
-        return out
+        return reduce(add, self.terms, algebra.zero())
 
 
 def pseudoinverse(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Element t with t a = support(a) and a t = range(a).
 
-    Blockwise Moore-Penrose with singular values below
-    ``snap_eps * sigma_max`` treated as zero; every element of a
-    finite-dimensional algebra is pseudoinvertible in this thresholded sense.
+    Blockwise Moore-Penrose, in ``numpy.linalg.pinv``'s arithmetic, on the
+    singular values that :func:`projections._ranked_svd` keeps: every element
+    of a finite-dimensional algebra is pseudoinvertible in this sense.
     """
     blocks = []
     for b in a.blocks:
-        _require_finite(b, "element")
-        zero = _norm_gate([b], tol.eps_abs, lambda: tol.eps_abs)
-        inv = np.zeros_like(b) if zero else np.linalg.pinv(b, rcond=tol.snap_eps)
-        if not (zero or inv.any()):  # pinv cuts every singular value below an infinite one
-            raise NotFinite("the largest singular value overflows")
-        blocks.append(inv)
+        u, s, vh, rank = _ranked_svd(b, tol)
+        inv = np.concatenate([1.0 / s[:rank], np.zeros(len(s) - rank)])
+        blocks.append(vh.conj().T @ (inv[:, None] * u.conj().T) if rank else np.zeros_like(b))
     return a.algebra.element(blocks)
 
 
@@ -161,13 +156,10 @@ def polar(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> PolarParts:
     """a = [a] sqrt(a*a) with [a] the rank-truncated SVD isometry."""
     iso_blocks, mod_blocks = [], []
     for b in a.blocks:
-        _require_finite(b, "element")
-        u, s, vh = np.linalg.svd(b)
-        r = _rank(s, tol)
+        u, s, vh, r = _ranked_svd(b, tol)
         iso_blocks.append(u[:, :r] @ vh[:r])
         mod_blocks.append(vh.conj().T @ np.diag(s) @ vh)
-    alg = a.algebra
-    return PolarParts(alg.element(iso_blocks), alg.element(mod_blocks))
+    return PolarParts(a.algebra.element(iso_blocks), a.algebra.element(mod_blocks))
 
 
 def seq_quotient(a: Element, b: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:

@@ -110,33 +110,34 @@ def floor(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     return _spectral_projection(a, lambda v: v >= 1.0 - tol.snap_eps)
 
 
-def _rank(s: np.ndarray, tol: ToleranceConfig) -> int:
-    """The number of singular values ``s`` (descending) above snap_eps times
-    the largest; none when the largest is at most eps_abs."""
-    if s.size == 0 or s[0] <= tol.eps_abs:
-        return 0
+def _ranked_svd(b: np.ndarray, tol: ToleranceConfig):
+    """(u, s, vh, rank): the full SVD of an element block and the number of
+    singular values above snap_eps times the largest, 0 when that is at most
+    eps_abs; NotFinite on a NaN or infinite entry, before LAPACK sees it, or
+    on a largest singular value that overflows."""
+    _require_finite(b, "element")
+    u, s, vh = np.linalg.svd(b)
     if not np.isfinite(s[0]):
         raise NotFinite("the largest singular value overflows")
-    return int(np.sum(s > tol.snap_eps * s[0]))
+    return u, s, vh, int(np.sum(s > tol.snap_eps * s[0])) if s[0] > tol.eps_abs else 0
 
 
 def rank_profile(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:
-    """Per-block rank: singular values thresholded at snap_eps relative to
-    the largest, with blocks below eps_abs treated as zero."""
-    return tuple(_rank(np.linalg.svd(b, compute_uv=False), tol) for b in a.blocks)
+    """Per-block rank, as :func:`_ranked_svd` decides it: the rank of
+    :func:`support`, block by block."""
+    return tuple(_ranked_svd(b, tol)[3] for b in a.blocks)
 
 
 def support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Least projection p with a p = a; the ceiling of a*a.
 
-    Computed from the right singular vectors with relative threshold
-    snap_eps, consistent with :func:`rank_profile`.
+    The projection onto the right singular vectors that :func:`_ranked_svd`
+    keeps, so its block ranks are :func:`rank_profile`.
     """
     blocks = []
     for b in a.blocks:
-        _require_finite(b, "element")
-        _, s, vh = np.linalg.svd(b)
-        v = vh[:_rank(s, tol)].conj().T
+        _, _, vh, rank = _ranked_svd(b, tol)
+        v = vh[:rank].conj().T
         blocks.append(v @ v.conj().T)
     return a.algebra.element(blocks)
 
@@ -191,7 +192,8 @@ def right_mult_matrix(s: Element) -> np.ndarray:
 def _span(stack: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, int]:
     """The right singular vectors of a stack of rows, and its numerical rank:
     the number of singular values above snap_radius of the largest (0 for
-    rows of length 0, which have none)."""
+    rows of length 0, which have none); NotFinite on a non-finite entry."""
+    _require_finite(stack, "element")
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     return vh, int(np.sum(s > tol.snap_radius(float(s.max(initial=0.0)))))
 
@@ -205,6 +207,7 @@ def commutant(elements: Sequence[Element], within: FdAlgebra,
     if not elements:
         return Subspace(within, tuple(within.from_coords(v)
                                       for v in np.eye(d, dtype=complex)))
+    _require_finite(np.concatenate([s.coords() for s in elements]), "element")  # before kron
     rows = [left_mult_matrix(s) - right_mult_matrix(s) for s in elements]
     vh, rank = _span(np.vstack(rows), tol)
     return Subspace(within, tuple(within.from_coords(v) for v in vh[rank:].conj()))
@@ -218,9 +221,13 @@ def centre(algebra: FdAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 def central_support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
     """Smallest central projection z with z a = a: the nonzero-block indicator."""
+    def bound() -> float:
+        if operator_norm(a) == np.inf:  # threshold(inf) would hold every block's norm
+            raise NotFinite("the operator norm overflows")
+        return tol.threshold(operator_norm(a))
     blocks = []
     for b in a.blocks:
-        zero = _norm_gate([b], tol.threshold(), lambda: tol.threshold(operator_norm(a)))
+        zero = _norm_gate([b], tol.threshold(), bound)
         blocks.append(np.zeros(b.shape) if zero else np.eye(b.shape[0]))
     return a.algebra.element(blocks)
 
@@ -246,15 +253,11 @@ def mvn_below(e1: Element, e2: Element,
     _require_projections([e1, e2], tol)
     blocks = []
     for b1, b2 in zip(e1.blocks, e2.blocks):
-        vals1, vecs1 = _eigh(b1)
-        vals2, vecs2 = _eigh(b2)
-        r1 = int(np.sum(vals1 > 0.5))
-        r2 = int(np.sum(vals2 > 0.5))
-        if r1 > r2:
+        (vals1, vecs1), (vals2, vecs2) = _eigh(b1), _eigh(b2)
+        w, v = vecs1[:, vals1 > 0.5], vecs2[:, vals2 > 0.5]
+        if w.shape[1] > v.shape[1]:
             return None
-        w = vecs1[:, vals1 > 0.5]
-        v = vecs2[:, vals2 > 0.5][:, :r1]
-        blocks.append(v @ w.conj().T)
+        blocks.append(v[:, :w.shape[1]] @ w.conj().T)
     return e1.algebra.element(blocks)
 
 

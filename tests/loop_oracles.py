@@ -29,6 +29,13 @@ axiom checker's reports on the library's curried operations to them, and
 the linearizations of ``measurement._linearize_in_q`` to ``linearize_in_q``,
 which rebuilds its arguments and sanity effects on every call.
 
+``rank_cut``, ``rank_profile_values``, ``support_svd``, ``polar_svd`` and
+``pseudoinverse_pinv`` are the ranked SVDs as they read before they shared
+``projections._ranked_svd``: a values-only SVD for ``rank_profile``, a full
+SVD and the rank rule for ``support`` and ``polar``, and ``numpy.linalg.pinv``
+behind a ``_norm_gate`` zero test for ``pseudoinverse``;
+``test_ranked_svd.py`` holds the library to them.
+
 ``sqrt_iterative`` and ``eigen_oracle_charpoly`` compute roots and
 eigenvalues without an eigensolver, for ``test_spectral.py``.
 
@@ -42,14 +49,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _unit_index, add,
-                          adjoint, direct_sum, hs_inner, is_effect, mul, operator_norm,
-                          orthosupplement, symmetrize)
+from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _norm_gate,
+                          _require_finite, _unit_index, add, adjoint, direct_sum, hs_inner,
+                          is_effect, mul, operator_norm, orthosupplement, symmetrize)
 from vnalg.algebra import equal as lib_equal
 from vnalg.algebra import imag_part
 from vnalg.algebra import is_positive as lib_is_positive
 from vnalg.algebra import is_self_adjoint as lib_is_self_adjoint
-from vnalg.division import ApproxPseudoinverse
+from vnalg.division import ApproxPseudoinverse, PolarParts
 from vnalg.division import pseudoinverse as lib_pseudoinverse
 from vnalg.errors import (CarrierViolated, FilterBoundViolated, NotEffect, NotFinite,
                           NotNormal, NotPositive, NotProjection)
@@ -729,6 +736,57 @@ def linearize_in_q(op_p, alg, tol=DEFAULT_TOL):
         if not lib_equal(apply(f, q), op_p(q), tol):
             return None
     return f
+
+
+# ---------------------------------------------------------------------------
+# ranked SVDs, each with its own SVD and rank rule
+
+def rank_cut(s, tol=DEFAULT_TOL):
+    """The number of singular values ``s`` (descending) above snap_eps times
+    the largest; none when the largest is at most eps_abs."""
+    if s.size == 0 or s[0] <= tol.eps_abs:
+        return 0
+    if not np.isfinite(s[0]):
+        raise NotFinite("the largest singular value overflows")
+    return int(np.sum(s > tol.snap_eps * s[0]))
+
+
+def rank_profile_values(a, tol=DEFAULT_TOL):
+    return tuple(rank_cut(np.linalg.svd(b, compute_uv=False), tol) for b in a.blocks)
+
+
+def support_svd(a, tol=DEFAULT_TOL):
+    blocks = []
+    for b in a.blocks:
+        _require_finite(b, "element")
+        _, s, vh = np.linalg.svd(b)
+        v = vh[:rank_cut(s, tol)].conj().T
+        blocks.append(v @ v.conj().T)
+    return a.algebra.element(blocks)
+
+
+def polar_svd(a, tol=DEFAULT_TOL):
+    iso_blocks, mod_blocks = [], []
+    for b in a.blocks:
+        _require_finite(b, "element")
+        u, s, vh = np.linalg.svd(b)
+        r = rank_cut(s, tol)
+        iso_blocks.append(u[:, :r] @ vh[:r])
+        mod_blocks.append(vh.conj().T @ np.diag(s) @ vh)
+    alg = a.algebra
+    return PolarParts(alg.element(iso_blocks), alg.element(mod_blocks))
+
+
+def pseudoinverse_pinv(a, tol=DEFAULT_TOL):
+    blocks = []
+    for b in a.blocks:
+        _require_finite(b, "element")
+        zero = _norm_gate([b], tol.eps_abs, lambda: tol.eps_abs)
+        inv = np.zeros_like(b) if zero else np.linalg.pinv(b, rcond=tol.snap_eps)
+        if not (zero or inv.any()):  # pinv cuts every singular value below an infinite one
+            raise NotFinite("the largest singular value overflows")
+        blocks.append(inv)
+    return a.algebra.element(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from vnalg import (adjoint, add, approximate_pseudoinverse, ceiling, divide,
+from vnalg import (adjoint, add, approximate_pseudoinverse, ceiling, central_support, divide,
                    douglas_lambda, equal, is_positive, left_divide, leq,
                    make_algebra, mul, mvn_below, operator_norm, polar,
                    pseudoinverse, range_projection, rank_profile, sandwich_divide,
                    seq_quotient, snap_projection, support)
-from vnalg.errors import DivisionUndefined, NotFinite, QuotientUndefined
+from vnalg.errors import DivisionUndefined, NotFinite, NotPositive, QuotientUndefined
 from vnalg.sampling import (random_element, random_positive, random_projection,
                             random_unitary)
 from vnalg.spectral import sqrt
@@ -122,6 +122,16 @@ def test_divide_examples():
     assert equal(divide(a2, b2), M2.element([np.array([[0.0, 1.0], [0.0, 0.0]])]))
     with pytest.raises(DivisionUndefined):
         divide(M2.element([np.diag([1.0, 0.0])]), M2.element([np.diag([0.0, 1.0])]))
+
+
+def test_left_and_sandwich_division_undefined():
+    p, q = M2.element([np.diag([1.0, 0.0])]), M2.element([np.diag([0.0, 1.0])])
+    with pytest.raises(DivisionUndefined):
+        left_divide(p, q)  # no c with p c = q: range(q) is not under range(p)
+    with pytest.raises(DivisionUndefined):
+        sandwich_divide(p, q, M2.unit())
+    with pytest.raises(DivisionUndefined):
+        sandwich_divide(M2.unit(), q, p)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -268,6 +278,12 @@ def test_seq_quotient_round_trip(seed):
     assert leq(snap_projection(ceiling(c)), snap_projection(ceiling(b)))
 
 
+@pytest.mark.parametrize("a,b", [(-1.0, 1.0), (1.0, -1.0)])
+def test_seq_quotient_needs_positive_elements(a, b):
+    with pytest.raises(NotPositive):
+        seq_quotient(M2.scalar(a), M2.scalar(b))
+
+
 def test_seq_quotient_undefined_on_disjoint_supports():
     a = M2.element([np.diag([1.0, 0.0])])
     b = M2.element([np.diag([0.0, 1.0])])
@@ -287,7 +303,8 @@ def test_full_svds_refuse_non_finite_blocks(fn, value, capfd):
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("fn", [support, range_projection, polar, rank_profile, pseudoinverse])
+@pytest.mark.parametrize("fn", [support, range_projection, polar, rank_profile, pseudoinverse,
+                                central_support])
 def test_an_overflowing_largest_singular_value_is_not_finite(fn, capfd):
     # Finite entries whose largest singular value overflows to inf: a rank
     # cut relative to it would keep nothing, and pinv would return zeros.

@@ -57,12 +57,22 @@ def test_non_finite_entries_are_a_precondition_error(command, text):
     assert (code, out["error"]) == (2, "NotFinite")
 
 
-@pytest.mark.parametrize("command", ["support", "range", "pinv", "polar"])
+@pytest.mark.parametrize("command", ["support", "range", "pinv", "polar", "csupport"])
 def test_an_overflowing_singular_value_is_not_finite(command):
-    # Finite entries, but the largest singular value overflows to inf.
+    # Finite entries, but the largest singular value overflows to inf (for
+    # csupport: the operator norm its zero test scales by).
     data = {"algebra": {"dims": [2]}, "blocks": [[[[1e308, 0.0]] * 2] * 2]}
     code, out = run_cli([command], dumps(data))
     assert (code, out["error"]) == (2, "NotFinite")
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["check-axioms", "--op", "std", "--algebra", "2", "--trials", "-1"], "--trials"),
+    (["gen", "--kind", "effect", "--algebra", "2", "--count", "-1"], "--count"),
+])
+def test_a_negative_count_is_a_usage_error_that_names_the_option(argv, option):
+    code, out = run_cli(argv, "")
+    assert (code, out["error"]) == (1, "ParseError") and option in out["message"], out
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -14,7 +14,11 @@
 - the numerical span of a stack of vectors (a thin SVD cut at the snap
   radius of its largest singular value) is taken only in
   ``projections._span``, and bijectivity (least singular value against
-  snap_eps) is decided only in ``maps._is_bijective``.
+  snap_eps) is decided only in ``maps._is_bijective``;
+- numpy's SVD runs only in those two and in ``projections._ranked_svd``,
+  which decides the rank of an element block for ``support``, ``range``,
+  ``polar``, ``rank_profile`` and ``pseudoinverse``; ``numpy.linalg.pinv``
+  runs nowhere.
 
 Only code is scanned: comments and string literals, docstrings included,
 may state a rule.
@@ -109,3 +113,9 @@ def test_numerical_spans_are_taken_only_in_span():
 def test_bijectivity_is_decided_only_in_is_bijective():
     found = sites(r"\[-1\] *[<>]=? *\w+\.snap_eps")
     assert found and found <= lines_of("_is_bijective"), sorted(found)
+
+
+def test_svds_run_only_in_the_ranked_svd_the_span_and_bijectivity():
+    found = sites(r"linalg\.svd\b")
+    assert found and found <= lines_of("_ranked_svd", "_span", "_is_bijective"), sorted(found)
+    assert not sites(r"\bpinv\("), sorted(sites(r"\bpinv\("))
