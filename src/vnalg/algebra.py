@@ -258,8 +258,14 @@ def adjoint(a: Element) -> Element:
     return Element._wrap(a.algebra, (x.conj().T for x in a.blocks))
 
 
+def _halved(x: np.ndarray) -> np.ndarray:
+    """x with each real and imaginary part halved: h + h* is finite wherever x is,
+    and h + h* times or over 1 has the bits of (x + x*) times 0.5 or over 2."""
+    return (np.ascontiguousarray(x).view(x.real.dtype) * 0.5).view(x.dtype)
+
+
 def real_part(a: Element) -> Element:
-    return Element._wrap(a.algebra, (0.5 * (x + x.conj().T) for x in a.blocks))
+    return Element._wrap(a.algebra, (1 * (h + h.conj().T) for h in map(_halved, a.blocks)))
 
 
 def imag_part(a: Element) -> Element:
@@ -355,26 +361,33 @@ def _eigh(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of the Hermitian part of a block.
 
     The one place the package calls numpy's Hermitian eigensolvers.  The
-    Hermitian part is spelled (b + b*) / 2 everywhere: an eigenvector is
+    Hermitian part has the bits of (b + b*) / 2 everywhere: an eigenvector is
     built from Householder reflectors, which tell -0.0 from 0.0, so another
-    spelling of the same matrix can give other eigenvector bits.
+    spelling of the same matrix can give other eigenvector bits.  Overflow is NotFinite.
     """
-    return np.linalg.eigh((b + b.conj().T) / 2)
+    h = _halved(b)
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 1)
+    return _finite_ends(vals), vecs
 
 
 def _eigvalsh(b: np.ndarray) -> np.ndarray:
     """The eigenvalues of :func:`_eigh`, without the eigenvectors."""
-    return np.linalg.eigvalsh((b + b.conj().T) / 2)
+    h = _halved(b)
+    return _finite_ends(np.linalg.eigvalsh((h + h.conj().T) / 1))
+
+
+def _finite_ends(vals: np.ndarray) -> np.ndarray:
+    if vals.size and not -np.inf < vals[0] <= vals[-1] < np.inf:
+        raise NotFinite("an eigenvalue overflows")
+    return vals
 
 
 def is_positive(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Self-adjoint within tolerance with spectrum >= -eps_rel*max(1, ||a||): the
     floor is relative to ||a|| above norm 1 and absolute below it."""
-    if not a.blocks:
-        return True
     if not is_self_adjoint(a, tol):
         return False
-    mins = [float(_eigvalsh(b).min(initial=np.inf)) for b in a.blocks]
+    mins = [float(_eigvalsh(b)[0]) for b in a.blocks]  # ascending, and no block is empty
     # positivity_floor(s) <= positivity_floor(), so minima above the latter pass without ||a||.
     return all(m >= tol.positivity_floor() for m in mins) or \
         all(m >= tol.positivity_floor(operator_norm(a)) for m in mins)

@@ -7,28 +7,15 @@ object carries the module error name), 3 property failure (with witness).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
 import numpy as np
 
 from . import jsonio
-from .algebra import (DEFAULT_TOL, ToleranceConfig, make_algebra)
-from .division import divide, douglas_lambda, left_divide, polar, pseudoinverse, seq_quotient
+from .algebra import DEFAULT_TOL, ToleranceConfig, make_algebra
 from .errors import VnalgError
-from .maps import (carrier, choi_blocks, functional_from_density, is_completely_positive,
-                   is_involutive, is_multiplicative, is_subunital,
-                   is_unital, min_choi_eigenvalue, random_cp_map)
-from .measurement import (bracket, check_axioms, is_pure, named_op, seq_product,
-                          standard_corner, standard_filter)
-from .projections import (ceiling, central_support, floor, join, meet,
-                          range_projection, support)
-from .sampling import random_density, random_effect, random_element, random_projection
-from .spectral import absolute, functional_calculus, named_function, spectrum, sqrt
-from .structure import gelfand_finite, gns, star_subalgebra, wedderburn
-from .suite import run_suite
-from .tensor import (_tensor_of, classical_points, classical_reflection, classical_unit,
-                     duplicability_witness, duplicator, is_duplicable, tensor_algebra)
 
 
 def _tolerance(text: str) -> ToleranceConfig:
@@ -97,21 +84,29 @@ def _elements(payload, key="elements") -> list:
 
 
 def _pair(*keys):
-    """The payload reader returning the elements under ``keys``."""
-    def read(payload) -> list:
-        return [jsonio.element_from_json(jsonio._field(payload, key)) for key in keys]
+    """The payload reader returning the elements under ``keys``, as a tuple."""
+    def read(payload) -> tuple:
+        return tuple(jsonio.element_from_json(jsonio._field(payload, key)) for key in keys)
     return read
 
 
-def _cmd(fn, read=jsonio.element_from_json, show=jsonio.element_to_json):
-    """The command printing show(fn(read(payload), tol)).  A subcommand with
-    a ``--f NAME`` option applies that named function instead of fn."""
+def _lib(ref: str):
+    """The library function ``module.function``, its module imported on first use."""
+    module, name = ref.split(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def _cmd(ref, read=jsonio.element_from_json, show=jsonio.element_to_json):
+    """The command printing show(fn(*args, tol)) for fn = _lib(ref), where args
+    is read(payload), a tuple of arguments or one argument.  A subcommand with a
+    ``--f NAME`` option applies that named function instead of fn."""
     def runner(args):
         arg = read(_read_payload(args))
         if getattr(args, "fname", None):
+            from .spectral import functional_calculus, named_function
             out = functional_calculus(arg, named_function(args.fname), args.tol)
         else:
-            out = fn(arg, args.tol)
+            out = _lib(ref)(*(arg if isinstance(arg, tuple) else (arg,)), args.tol)
         _emit(args, show(out))
     return runner
 
@@ -131,6 +126,7 @@ def _gns_json(res):
 
 
 def cmd_divide(args):
+    from .division import divide, douglas_lambda, left_divide
     a, b = _pair("a", "b")(_read_payload(args))
     if args.left:
         out = {"quotient": jsonio.element_to_json(left_divide(b, a, args.tol))}
@@ -141,6 +137,8 @@ def cmd_divide(args):
 
 
 def cmd_checkmap(args):
+    from .maps import (carrier, is_completely_positive, is_involutive, is_multiplicative,
+                       is_subunital, is_unital)
     tol = args.tol
     f = jsonio.map_from_json(_read_payload(args))
     out = {}
@@ -159,76 +157,65 @@ def cmd_checkmap(args):
 
 def cmd_choi(args):
     f = jsonio.map_from_json(_read_payload(args))
-    blocks = []
-    for cb in choi_blocks(f):
-        blocks.append({"domain_block_index": cb.domain_block_index,
-                       "matrix": jsonio._matrix_to_json(cb.matrix)})
-    _emit(args, {"blocks": blocks, "min_eigenvalue": min_choi_eigenvalue(f)})
+    blocks = [{"domain_block_index": cb.domain_block_index,
+               "matrix": jsonio._matrix_to_json(cb.matrix)} for cb in _lib("maps.choi_blocks")(f)]
+    _emit(args, {"blocks": blocks, "min_eigenvalue": _lib("maps.min_choi_eigenvalue")(f)})
 
 
 def cmd_corner(args):
     p = jsonio.element_from_json(_read_payload(args))
-    f = standard_corner(p, args.tol)
+    f = _lib("measurement.standard_corner")(p, args.tol)
     _emit(args, {"map": jsonio.map_to_json(f),
-                 "floor": jsonio.element_to_json(floor(p, args.tol))})
+                 "floor": jsonio.element_to_json(_lib("projections.floor")(p, args.tol))})
 
 
-def _witness_to_json(w):
-    if w is None:
-        return None
-    out = {}
-    for key, value in w.items():
-        if hasattr(value, "blocks"):
-            out[key] = jsonio.element_to_json(value)
-        elif isinstance(value, (bool, int, float, str)):
-            out[key] = value
-        else:
-            out[key] = repr(value)
-    return out
+def _witness_value(value):
+    if hasattr(value, "blocks"):
+        return jsonio.element_to_json(value)
+    return value if isinstance(value, (bool, int, float, str)) else repr(value)
 
 
 def cmd_check_axioms(args):
+    from .measurement import check_axioms, named_op
     algebra = make_algebra(_dims(args.algebra))
     op = named_op(args.op, algebra, args.tol)
     rep = check_axioms(op, algebra, trials=args.trials, seed=args.seed, tol=args.tol)
     out = {axiom: {"status": res["status"],
-                   "witness": _witness_to_json(res["witness"])}
+                   "witness": None if res["witness"] is None else
+                   {key: _witness_value(value) for key, value in res["witness"].items()}}
            for axiom, res in rep.items()}
     _emit(args, out)
-    if any(res["status"] == "fail" for res in rep.values()):
-        return 3
-    return 0
+    return 3 if any(res["status"] == "fail" for res in rep.values()) else 0
 
 
 def cmd_tensor(args):
     dims = [_dims(part) for part in args.algebras.split(":")]
     if len(dims) != 2:
         raise ValueError("need exactly two algebras, colon separated")
-    ts = tensor_algebra(make_algebra(dims[0]), make_algebra(dims[1]))
+    ts = _lib("tensor.tensor_algebra")(make_algebra(dims[0]), make_algebra(dims[1]))
     _emit(args, {"product": jsonio.algebra_to_json(ts.product)})
 
 
 def cmd_tensor_el(args):
     a, b = _pair("left", "right")(_read_payload(args))
-    _emit(args, jsonio.element_to_json(_tensor_of(a, b)))
+    _emit(args, jsonio.element_to_json(_lib("tensor._tensor_of")(a, b)))
 
 
 def cmd_dup_check(args):
+    from .tensor import duplicability_witness, duplicator, is_duplicable
     algebra = make_algebra(_dims(args.algebra))
     dup = duplicator(algebra)
-    out = {"duplicable": is_duplicable(algebra)}
+    out = {"duplicable": is_duplicable(algebra), "duplicator": None, "witness": None}
     if dup is not None:
         out["duplicator"] = jsonio.map_to_json(dup)
-        out["witness"] = None
     else:
-        w = duplicability_witness(algebra, samples=args.samples, seed=args.seed,
-                                  tol=args.tol)
-        out["duplicator"] = None
-        out["witness"] = jsonio.element_to_json(w)
+        out["witness"] = jsonio.element_to_json(duplicability_witness(
+            algebra, samples=args.samples, seed=args.seed, tol=args.tol))
     _emit(args, out)
 
 
 def cmd_bang(args):
+    from .tensor import classical_points, classical_reflection, classical_unit
     algebra = make_algebra(_dims(args.algebra))
     _emit(args, {"points": classical_points(algebra),
                  "bang": jsonio.algebra_to_json(classical_reflection(algebra)),
@@ -238,11 +225,11 @@ def cmd_bang(args):
 def _subalgebra(args):
     payload = _read_payload(args)
     ambient = jsonio.algebra_from_json(jsonio._field(payload, "ambient"))
-    return star_subalgebra(ambient, _elements(payload, "basis"), args.tol)
+    return _lib("structure.star_subalgebra")(ambient, _elements(payload, "basis"), args.tol)
 
 
 def cmd_wedderburn(args):
-    res = wedderburn(_subalgebra(args), seed=args.seed, tol=args.tol)
+    res = _lib("structure.wedderburn")(_subalgebra(args), seed=args.seed, tol=args.tol)
     _emit(args, {"dims": list(res.dims),
                  "embed": jsonio.map_to_json(res.embed),
                  "min_central_projections": [jsonio.element_to_json(z)
@@ -250,12 +237,13 @@ def cmd_wedderburn(args):
 
 
 def cmd_gelfand(args):
-    points, res = gelfand_finite(_subalgebra(args), seed=args.seed, tol=args.tol)
+    points, res = _lib("structure.gelfand_finite")(_subalgebra(args), seed=args.seed,
+                                                   tol=args.tol)
     _emit(args, {"points": points, "dims": list(res.dims)})
 
 
 def cmd_verify_suite(args):
-    results = run_suite(args.level)
+    results = _lib("suite.run_suite")(args.level)
     width = max(len(name) for name, _, _ in results)
     failed = 0
     text = ""
@@ -270,12 +258,12 @@ def cmd_verify_suite(args):
 
 # gen --kind: the JSON of one random draw on an algebra.
 _SAMPLERS = {
-    "effect": lambda alg, rng: jsonio.element_to_json(random_effect(alg, rng)),
-    "projection": lambda alg, rng: jsonio.element_to_json(random_projection(alg, rng)),
-    "element": lambda alg, rng: jsonio.element_to_json(random_element(alg, rng)),
-    "state": lambda alg, rng: jsonio.map_to_json(
-        functional_from_density(random_density(alg, rng))),
-    "cpmap": lambda alg, rng: jsonio.map_to_json(random_cp_map(alg, alg, rng)),
+    "effect": lambda alg, rng: jsonio.element_to_json(_lib("sampling.random_effect")(alg, rng)),
+    "projection": lambda alg, rng: jsonio.element_to_json(
+        _lib("sampling.random_projection")(alg, rng)),
+    "element": lambda alg, rng: jsonio.element_to_json(_lib("sampling.random_element")(alg, rng)),
+    "state": lambda alg, rng: jsonio.map_to_json(_lib("maps.random_state")(alg, rng)),
+    "cpmap": lambda alg, rng: jsonio.map_to_json(_lib("maps.random_cp_map")(alg, alg, rng)),
 }
 
 
@@ -312,28 +300,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    command("spectrum", _cmd(spectrum, show=_spectrum_json))
-    command("sqrt", _cmd(sqrt)).add_argument(
+    command("spectrum", _cmd("spectral.spectrum", show=_spectrum_json))
+    command("sqrt", _cmd("spectral.sqrt")).add_argument(
         "--f", dest="fname", default=None,
         help="named function: sqrt, abs, pospart, negpart, pow:A, exp-phase")
-    command("abs", _cmd(absolute)).add_argument("--f", dest="fname", default=None)
+    command("abs", _cmd("spectral.absolute")).add_argument("--f", dest="fname", default=None)
 
-    command("ceil", _cmd(ceiling))
-    command("floor", _cmd(floor))
-    command("support", _cmd(support))
-    command("range", _cmd(range_projection))
-    command("join", _cmd(join, _elements))
-    command("meet", _cmd(meet, _elements))
-    command("csupport", _cmd(central_support))
+    command("ceil", _cmd("projections.ceiling"))
+    command("floor", _cmd("projections.floor"))
+    command("support", _cmd("projections.support"))
+    command("range", _cmd("projections.range_projection"))
+    command("join", _cmd("projections.join", _elements))
+    command("meet", _cmd("projections.meet", _elements))
+    command("csupport", _cmd("projections.central_support"))
 
-    command("polar", _cmd(polar, show=_polar_json))
-    command("pinv", _cmd(pseudoinverse))
+    command("polar", _cmd("division.polar", show=_polar_json))
+    command("pinv", _cmd("division.pseudoinverse"))
     group = command("divide", cmd_divide).add_mutually_exclusive_group()
     group.add_argument("--left", action="store_true",
                        help="left division: the c with b·c = a")
     group.add_argument("--right", action="store_true",
                        help="right division, the default: the c with c·b = a")
-    command("seqquot", _cmd(lambda ab, tol: seq_quotient(*ab, tol), _pair("a", "b")))
+    command("seqquot", _cmd("division.seq_quotient", _pair("a", "b")))
 
     p = command("checkmap", cmd_checkmap)
     p.add_argument("--cp", action="store_true")
@@ -342,10 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     command("choi", cmd_choi, tol=False)
 
     command("corner", cmd_corner)
-    command("filter", _cmd(standard_filter, show=_map_json))
-    command("bracket", _cmd(bracket, jsonio.map_from_json, _map_json))
-    command("purity", _cmd(is_pure, jsonio.map_from_json, lambda pure: {"pure": pure}))
-    command("seqprod", _cmd(lambda pq, tol: seq_product(*pq, tol), _pair("p", "q")))
+    command("filter", _cmd("measurement.standard_filter", show=_map_json))
+    command("bracket", _cmd("measurement.bracket", jsonio.map_from_json, _map_json))
+    command("purity", _cmd("measurement.is_pure", jsonio.map_from_json,
+                           lambda pure: {"pure": pure}))
+    command("seqprod", _cmd("measurement.seq_product", _pair("p", "q")))
 
     p = command("check-axioms", cmd_check_axioms, payload=False, seed=True)
     p.add_argument("--op", required=True,
@@ -366,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("wedderburn", cmd_wedderburn, seed=True)
     command("gelfand", cmd_gelfand, seed=True)
-    command("gns", _cmd(gns, jsonio.map_from_json, _gns_json))
+    command("gns", _cmd("structure.gns", jsonio.map_from_json, _gns_json))
 
     command("verify-suite", cmd_verify_suite, payload=False, tol=False).add_argument(
         "--level", choices=["smoke", "full"], default="smoke")

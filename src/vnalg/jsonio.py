@@ -13,13 +13,15 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .algebra import Element, FdAlgebra
 from .errors import NotFinite
-from .maps import LinMap, make_map
+
+if TYPE_CHECKING:
+    from .maps import LinMap
 
 
 def algebra_to_json(algebra: FdAlgebra) -> dict:
@@ -73,6 +75,7 @@ def map_to_json(f: LinMap) -> dict:
 
 
 def map_from_json(data: Any) -> LinMap:
+    from .maps import make_map  # only map payloads need the map layer
     try:
         dom, cod = (algebra_from_json(_field(data, key)) for key in ("dom", "cod"))
         images = [element_from_json(e) for e in _field(data, "images")]

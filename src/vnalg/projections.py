@@ -233,11 +233,12 @@ def central_support(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Element:
 
 
 def is_central(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Each block a scalar multiple of the block identity."""
-    for b in a.blocks:
-        n = b.shape[0]
-        lam = np.trace(b) / n
-        if not _norm_gate([b - lam * np.eye(n)], tol.threshold(),
+    """Each block a scalar multiple of the block identity; NotFinite on a non-finite trace."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lams = [np.trace(b) / b.shape[0] for b in a.blocks]
+    _require_finite(np.array(lams), "trace")
+    for b, lam in zip(a.blocks, lams):
+        if not _norm_gate([b - lam * np.eye(b.shape[0])], tol.threshold(),
                           lambda: tol.threshold(operator_norm(a))):
             return False
     return True

@@ -42,6 +42,9 @@ eigenvalues without an eigensolver, for ``test_spectral.py``.
 The ``*_symmetrized`` functions feed the Hermitian eigensolvers
 ``symmetrize(a)`` where the library passes raw blocks to ``algebra._eigh``;
 ``test_hermitian_path.py`` holds the two to the same bits, up to signed zeros.
+``hermitian_part`` and ``real_part`` are the Hermitian parts as spelled before
+the library halved each entry first, so that no finite entry overflows;
+``test_hermitian_path.py`` holds the library to their bits.
 """
 
 from __future__ import annotations
@@ -344,6 +347,18 @@ def sqrt(a, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
+# the Hermitian parts as spelled before each entry was halved first
+
+def hermitian_part(b):
+    """(b + b*) / 2, the input of the Hermitian eigensolvers."""
+    return (b + b.conj().T) / 2
+
+
+def real_part(a):
+    return a.algebra.element([0.5 * (x + x.conj().T) for x in a.blocks])
+
+
+# ---------------------------------------------------------------------------
 # eigensolver inputs as spelled before the one Hermitian eigensolver path:
 # symmetrize(a), i.e. 0.5 * (x + x*), and twice over in functional calculus
 
@@ -425,6 +440,10 @@ def central_support(a, tol=DEFAULT_TOL):
 
 
 def is_central(a, tol=DEFAULT_TOL):
+    # A block trace that overflows, or meets a non-finite entry, is NotFinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.isfinite(np.trace(b)) for b in a.blocks):
+            raise NotFinite("the trace has a non-finite entry")
     thr = tol.threshold(svd_norm(a))
     for b in a.blocks:
         n = b.shape[0]

@@ -202,7 +202,6 @@ def test_checkmap_tests_multiplicativity_once(monkeypatch):
         calls.append(1)
         return real(*args)
     monkeypatch.setattr(vnalg.maps, "is_multiplicative", counted)
-    monkeypatch.setattr(vnalg.cli, "is_multiplicative", counted)
     f = conjugation_map(random_unitary(make_algebra([8]), np.random.default_rng(0)))
     code, out = run_cli(["checkmap"], dumps(map_to_json(f)))
     assert (code, loads(out)) == (0, {"cp": True, "miu": True, "unital": True, "subunital": True,
@@ -441,7 +440,7 @@ def test_remaining_commands_golden_bytes(name, argv, payload):
 
 
 def test_verify_suite_writes_its_report_to_out(tmp_path, monkeypatch):
-    monkeypatch.setattr("vnalg.cli.run_suite",
+    monkeypatch.setattr("vnalg.suite.run_suite",
                         lambda level: [("first", True, "fine"), ("second check", False, "bad")])
     dst = tmp_path / "report.txt"
     code, out = run_cli(["verify-suite", "--out", str(dst)])

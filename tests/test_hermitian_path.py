@@ -6,16 +6,23 @@ zero, and Householder reflectors tell -0.0 from 0.0.  So on inputs whose
 Hermitian part has no zero entry the outputs must be the same bytes; on
 sparse inputs with signed zeros the verdicts and ranks must be the same and
 the outputs ``equal``.
+
+The library halves each entry before it adds, so that no finite entry
+overflows.  Outside the subnormal range that spelling must give the bits of
+``(b + b*) / 2`` and ``0.5 * (b + b*)`` themselves, signed zeros included.
 """
 
+import itertools
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_oracles as oracle
 from vnalg import equal, make_algebra
-from vnalg.algebra import DEFAULT_TOL, is_positive, operator_norm
+from vnalg.algebra import DEFAULT_TOL, _eigh, _eigvalsh, is_positive, operator_norm, real_part
+from vnalg.errors import NotFinite
 from vnalg.projections import _spectral_projection, rank_profile
 from vnalg.sampling import random_unitary_block
 from vnalg.spectral import functional_calculus, named_function
@@ -132,3 +139,53 @@ def test_signed_zeros_change_no_verdict_rank_or_equality(a):
             assert got is want
         else:
             assert equal(got, want, TOL)
+
+
+def signed_zero_blocks():
+    """At scales 2^-60, 1 and 2^60: every 2x2 block [[d, u], [v, d]] whose
+    entries have real and imaginary parts drawn from +-0 and two nonzero
+    values (an entry of a Hermitian part reads its own entry and its mirror
+    image alone), and random 1x1-4x4 blocks with zeros of either sign."""
+    parts = [0.0, -0.0, 1.5, -2.25]
+    values = [complex(re, im) for re, im in itertools.product(parts, repeat=2)]
+    for scale in (2.0 ** -60, 1.0, 2.0 ** 60):
+        for d, u, v in itertools.product(values, repeat=3):
+            x = np.empty((2, 2), dtype=complex)
+            x.real = np.array([[d.real, u.real], [v.real, d.real]]) * scale
+            x.imag = np.array([[d.imag, u.imag], [v.imag, d.imag]]) * scale
+            yield x
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            n = int(rng.integers(1, 5))
+            re, im = rng.standard_normal((2, n, n)) * scale
+            x = np.empty((n, n), dtype=complex)
+            x.real = np.where(rng.random((n, n)) < 0.4, rng.choice([0.0, -0.0], (n, n)), re)
+            x.imag = np.where(rng.random((n, n)) < 0.4, rng.choice([0.0, -0.0], (n, n)), im)
+            yield x
+
+
+def test_the_halved_hermitian_part_has_the_bits_of_the_old_spelling(monkeypatch):
+    seen = []  # what the eigensolvers are handed
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda h, solve=getattr(np.linalg, name): seen.append(h) or solve(h))
+    for x in signed_zero_blocks():
+        seen.clear()
+        _eigh(x)
+        _eigvalsh(x)
+        assert [h.tobytes() for h in seen] == [oracle.hermitian_part(x).tobytes()] * 2
+        a = make_algebra([x.shape[0]]).element([x])
+        assert same_bytes(real_part(a), oracle.real_part(a))
+
+
+def test_the_hermitian_part_of_entries_at_the_float_limit_is_finite():
+    alg = make_algebra([2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The eigenvalues are 1e308 twice: finite, and exact.
+        assert _eigvalsh(np.diag([1e308, 1e308]).astype(complex)).tolist() == [1e308, 1e308]
+        assert np.isfinite(real_part(alg.element([np.full((2, 2), 1e308)])).blocks[0]).all()
+        # The eigenvalues are 0 and 2e308, which overflows.
+        for solve in (_eigh, _eigvalsh):
+            with pytest.raises(NotFinite):
+                solve(np.full((2, 2), 1e308, dtype=complex))

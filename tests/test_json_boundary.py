@@ -3,10 +3,14 @@ exit codes, never a traceback."""
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vnalg
 from vnalg import make_algebra
 from vnalg.cli import main
 from vnalg.jsonio import dumps, element_to_json, map_to_json
@@ -64,6 +68,19 @@ def test_an_overflowing_singular_value_is_not_finite(command):
     data = {"algebra": {"dims": [2]}, "blocks": [[[[1e308, 0.0]] * 2] * 2]}
     code, out = run_cli([command], dumps(data))
     assert (code, out["error"]) == (2, "NotFinite")
+
+
+@pytest.mark.parametrize("command", ["sqrt", "ceil", "abs", "floor", "spectrum"])
+def test_an_overflowing_eigenvalue_is_not_finite_and_warns_nothing(command):
+    # Finite entries, a positive semidefinite element, and the eigenvalue 2e308,
+    # which overflows.  A fresh process shows any numpy warning on its stderr.
+    data = {"algebra": {"dims": [2]}, "blocks": [[[[1e308, 0.0]] * 2] * 2]}
+    src = str(Path(vnalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "vnalg.cli", command], input=dumps(data),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (2, "NotFinite", "")
 
 
 @pytest.mark.parametrize("argv,option", [

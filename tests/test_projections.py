@@ -1,6 +1,8 @@
 """Projection lattice: ceilings, floors, supports, joins, commutants, and
 the Murray-von Neumann order, with limit-formula oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from vnalg import (adjoint, add, ceiling, central_support,
                    centre, equal, floor, is_central, is_projection, join, make_algebra, meet, mul, mvn_below,
                    operator_norm, orthosupplement, range_projection,
                    rank_profile, snap_projection, support, leq)
-from vnalg.errors import NotEffect, NotPositive, NotProjection
+from vnalg.errors import NotEffect, NotFinite, NotPositive, NotProjection
 from vnalg.maps import apply, random_cp_map, random_cpu_map
 from vnalg.sampling import (random_effect, random_element, random_positive,
                             random_projection)
@@ -332,3 +334,11 @@ def test_support_has_the_rank_of_rank_profile(seed):
             blocks.append(rng.choice([1.0, 1e-13, 1e8]) * (u * s) @ v)
         a = alg.element(blocks)
         assert rank_profile(support(a)) == rank_profile(a)
+
+
+def test_is_central_on_an_overflowing_trace_is_not_finite_and_warns_nothing():
+    a = make_algebra([2]).element([np.full((2, 2), 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotFinite):
+            is_central(a)
