@@ -350,40 +350,36 @@ def is_positive_map(f: LinMap, samples: int = 200, seed: int = 0,
                     tol: ToleranceConfig = DEFAULT_TOL) -> PositivityReport:
     """Three-way positivity verdict.
 
-    A passing Choi test proves complete positivity (hence positivity).  When
-    either side is commutative, positivity is decided exactly: on a
-    commutative domain it reduces to positivity at the coordinate indicator
-    projections, on a commutative codomain to positivity of each coordinate
-    functional's density.  Otherwise the map is probed on structured and
-    seeded random rank-one positives; a violation is returned as a witness,
-    and absence of one only supports LikelyPositive.
+    A passing Choi test proves complete positivity.  A failing one decides
+    NotPositive when f is not involutive (positive maps preserve the
+    involution) or either side is commutative (a positive map into or out
+    of a commutative algebra is CP, Stinespring 1955), and the search below
+    only looks for a witness, into a commutative codomain first along the
+    negative directions of the coordinate densities.  Between two
+    noncommutative algebras, absence of a witness among structured and
+    seeded random rank-one positives only supports LikelyPositive.
     """
     if is_completely_positive(f, tol):
         return PositivityReport(Verdict.PROVEN_CP)
     involutive = is_involutive(f, tol)
+    decided = not involutive or f.dom.is_commutative() or f.cod.is_commutative()
     if involutive and not f.dom.is_commutative() and f.cod.is_commutative():
         for y in range(f.cod.num_blocks):
-            omega = compose(block_projection(f.cod, y), f)
-            rho = density(omega)
+            rho = density(compose(block_projection(f.cod, y), f))
             if not is_positive(rho, tol):
                 return PositivityReport(Verdict.NOT_POSITIVE,
                                         _negative_direction_witness(rho, tol))
-        return PositivityReport(Verdict.PROVEN_CP)
     if not involutive:
-        # Positive maps preserve the involution, so the verdict is already
-        # decided; the search only looks for a concrete witness.
         more = (mul(h, h) for h in map(symmetrize, f.dom.basis()))
-    elif f.dom.is_commutative():
+    elif decided:
         more = ()
     else:
         rng = np.random.default_rng(seed)
         more = (sampling.random_rank_one_positive(f.dom, rng) for _ in range(samples))
     witness = next((a for a in itertools.chain(_structured_positives(f.dom), more)
                     if not is_positive(apply(f, a), tol)), None)
-    if witness is not None or not involutive:
-        return PositivityReport(Verdict.NOT_POSITIVE, witness)
-    return PositivityReport(Verdict.PROVEN_CP if f.dom.is_commutative()
-                            else Verdict.LIKELY_POSITIVE)
+    return PositivityReport(Verdict.NOT_POSITIVE if decided or witness is not None
+                            else Verdict.LIKELY_POSITIVE, witness)
 
 
 def _negative_direction_witness(rho: Element,

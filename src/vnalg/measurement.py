@@ -381,10 +381,6 @@ def _linearize_in_q(op_p: Callable[[Element], Element], alg: FdAlgebra,
     return f if all(equal(apply(f, q), op_p(q), tol) for q in sanity) else None
 
 
-def _witness(axiom: str, **kw) -> dict:
-    return {"axiom": axiom, **kw}
-
-
 def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
                  seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL,
                  check_tol: float = 1e-8, purity_trials: int = 50) -> dict:
@@ -393,7 +389,8 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
     Returns a report keyed by axiom with status pass / fail / n-a (not
     applicable), and a witness dictionary on failure.  The corpus mixes
     structured effects (which force the known violations deterministically)
-    with seeded random ones.
+    with seeded random ones.  Each axiom is a refutation p -> None or
+    (status, witness fields), and stops at its first refutation.
 
     Each element the checks use as a left operand p gets ``op.at(p)`` once
     per call (elements hash by identity), so the work on p alone is done
@@ -407,64 +404,40 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
 
     wtol = ToleranceConfig(eps_rel=check_tol, eps_abs=check_tol,
                            snap_eps=max(check_tol, tol.snap_eps))
-    report: dict[str, dict] = {}
-
+    one = algebra.unit()
     structured = _structured_effects(algebra)
     effects = structured + [random_effect(algebra, rng) for _ in range(trials)]
 
-    # A: op(p, 1) = p
-    status, witness = "pass", None
-    one = algebra.unit()
-    for p in effects:
-        if not equal(at(p)(one), p, wtol):
-            status, witness = "fail", _witness("A", p=p, value=at(p)(one))
-            break
-    report["A"] = {"status": status, "witness": witness}
+    def first(axiom, corpus, refute) -> dict:
+        for p in corpus:
+            found = refute(p)
+            if found is not None:
+                return {"status": found[0], "witness": {"axiom": axiom, **found[1]}}
+        return {"status": "pass", "witness": None}
 
-    # B: q -> op(p, q) is a pure map
-    status, witness = "pass", None
-    for p in structured + [random_effect(algebra, rng) for _ in range(purity_trials)]:
+    def refute_a(p):  # op(p, 1) = p
+        value = at(p)(one)
+        return None if equal(value, p, wtol) else ("fail", {"p": p, "value": value})
+
+    def refute_b(p):  # q -> op(p, q) is a pure map
         f = linearize(p)
         if f is None:
-            status, witness = "n/a", _witness("B", reason="not linear in q", p=p)
-            break
-        if not is_pure(f, tol):
-            status, witness = "fail", _witness("B", p=p, reason="linearization not pure")
-            break
-    report["B"] = {"status": status, "witness": witness}
+            return "n/a", {"reason": "not linear in q", "p": p}
+        return None if is_pure(f, tol) else ("fail", {"p": p, "reason": "linearization not pure"})
 
-    # C: op(p, op(p, q)) = op(op(p, p), q)
-    status, witness = "pass", None
-    for p in effects:
+    def refute_c(p):  # op(p, op(p, q)) = op(op(p, p), q)
         q = random_effect(algebra, rng)
         op_p = at(p)
-        lhs = op_p(op_p(q))
-        rhs = at(op_p(p))(q)
-        if not equal(lhs, rhs, wtol):
-            status, witness = "fail", _witness("C", p=p, q=q)
-            break
-    report["C"] = {"status": status, "witness": witness}
+        return None if equal(op_p(op_p(q)), at(op_p(p))(q), wtol) else ("fail", {"p": p, "q": q})
 
-    # D: p = op(q, q) for the supplied witness q
-    if op.d_witness is None:
-        report["D"] = {"status": "n/a",
-                       "witness": _witness("D", reason="no witness supplied")}
-    else:
-        status, witness = "pass", None
-        for p in effects:
-            q = op.d_witness(p)
-            if not equal(at(q)(q), p, wtol):
-                status, witness = "fail", _witness("D", p=p, q=q)
-                break
-        report["D"] = {"status": status, "witness": witness}
+    def refute_d(p):  # p = op(q, q) for the supplied witness q
+        q = op.d_witness(p)
+        return None if equal(at(q)(q), p, wtol) else ("fail", {"p": p, "q": q})
 
-    # E: op(p, e1) below the complement of e2 iff op(p, e2) below that of e1.
-    # Random pairs rarely satisfy either side, so e1 is also constructed to
-    # make one side hold exactly and the other side is then verified.
-    status, witness = "pass", None
-    for p in effects:
-        if status == "fail":
-            break
+    def refute_e(p):
+        # op(p, e1) below the complement of e2 iff op(p, e2) below that of e1.
+        # Random pairs rarely satisfy either side, so e1 is also constructed
+        # to make one side hold exactly and the other side is then verified.
         e2 = random_projection(algebra, rng)
         candidates = [(random_projection(algebra, rng), e2)]
         f = linearize(p)
@@ -474,12 +447,17 @@ def check_axioms(op: BinOpSpec, algebra: FdAlgebra, trials: int = 200,
             lhs = _below_complement(at(p)(e1), e2c, wtol)
             rhs = _below_complement(at(p)(e2c), e1, wtol)
             if lhs != rhs:
-                status = "fail"
-                witness = _witness("E", p=p, e1=e1, e2=e2c,
-                                   lhs=bool(lhs), rhs=bool(rhs))
-                break
-    report["E"] = {"status": status, "witness": witness}
-    return report
+                return "fail", {"p": p, "e1": e1, "e2": e2c, "lhs": bool(lhs), "rhs": bool(rhs)}
+
+    return {
+        "A": first("A", effects, refute_a),
+        "B": first("B", structured + [random_effect(algebra, rng)
+                                      for _ in range(purity_trials)], refute_b),
+        "C": first("C", effects, refute_c),
+        "D": (first("D", effects, refute_d) if op.d_witness is not None else
+              {"status": "n/a", "witness": {"axiom": "D", "reason": "no witness supplied"}}),
+        "E": first("E", effects, refute_e),
+    }
 
 
 def _below_complement(a: Element, e: Element, tol: ToleranceConfig) -> bool:

@@ -94,7 +94,8 @@ def _apply_block(b: np.ndarray, f: Callable[[complex], complex],
         vals = np.diag(t)
     out_vals = np.empty(len(vals), dtype=complex)
     for members in _cluster(vals, near):
-        center = np.mean(vals[members])
+        # Halved first (exactly, above the subnormals): a finite pair sums finitely.
+        center = 2 * np.mean(0.5 * vals[members])
         if hermitian:
             center = complex(center.real)
         try:

@@ -200,17 +200,22 @@ def wedderburn(sub: StarSubalgebra, seed: int = 0,
     """Decompose a verified *-subalgebra as a direct sum of matrix algebras.
 
     Randomized centre splitting with eight tries; a degenerate central
-    sample produces fewer factors than the centre dimension and is redrawn.
+    sample produces fewer factors than the centre dimension and is redrawn,
+    over the centre basis and its multiples by i: the symmetrized real
+    combinations of a centre basis need not span the centre's self-adjoint
+    part.
     """
     centre_basis = _sub_centre_basis(sub, tol)
     m = len(centre_basis)
     rng = np.random.default_rng(seed)
+    within = centre_basis
     for _ in range(8):
-        z = _random_self_adjoint_in(sub, rng, centre_basis)
+        z = _random_self_adjoint_in(sub, rng, within)
         projs = _spectral_projections_in_sub(z, tol)
         if len(projs) == m:
             factors = projs
             break
+        within = centre_basis + [1j * b for b in centre_basis]
     else:
         raise ClosureViolated("centre splitting failed; degenerate draws")
     blocks_data = []

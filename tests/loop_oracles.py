@@ -45,6 +45,11 @@ The ``*_symmetrized`` functions feed the Hermitian eigensolvers
 ``hermitian_part`` and ``real_part`` are the Hermitian parts as spelled before
 the library halved each entry first, so that no finite entry overflows;
 ``test_hermitian_path.py`` holds the library to their bits.
+
+``apply_block_mean`` is ``spectral._apply_block`` as it read before it halved
+a cluster's eigenvalues before averaging them: the plain mean, whose sum
+overflows on a pair of eigenvalues near the float limit; ``test_spectral.py``
+holds the library to its centres and bits wherever that mean is finite.
 """
 
 from __future__ import annotations
@@ -61,14 +66,14 @@ from vnalg.algebra import is_positive as lib_is_positive
 from vnalg.algebra import is_self_adjoint as lib_is_self_adjoint
 from vnalg.division import ApproxPseudoinverse, PolarParts
 from vnalg.division import pseudoinverse as lib_pseudoinverse
-from vnalg.errors import (CarrierViolated, FilterBoundViolated, NotEffect, NotFinite,
-                          NotNormal, NotPositive, NotProjection)
+from vnalg.errors import (CarrierViolated, FilterBoundViolated, FunctionUndefinedOnSpectrum,
+                          NotEffect, NotFinite, NotNormal, NotPositive, NotProjection)
 from vnalg.maps import LinMap, _unit_image, apply, carrier, compose, is_unital, make_map
 from vnalg.maps import choi_blocks as lib_choi_blocks
 from vnalg.measurement import BinOpSpec, _sign_above_half, bracket, corner_algebra
 from vnalg.projections import _require_projections, _span, ceiling, floor, left_mult_matrix
 from vnalg.sampling import random_effect, random_element
-from vnalg.spectral import _apply_block, _exp_phase
+from vnalg.spectral import _apply_block, _cluster, _exp_phase
 from vnalg.spectral import functional_calculus as lib_functional_calculus
 from vnalg.spectral import is_normal as lib_is_normal
 from vnalg.spectral import sqrt as lib_sqrt
@@ -847,3 +852,28 @@ def eigen_oracle_charpoly(matrix):
         coeffs[k] = -np.trace(mk) / k
         mk += coeffs[k] * np.eye(n)
     return [complex(r) for r in np.roots(coeffs)]
+
+
+# ---------------------------------------------------------------------------
+# a cluster's centre as the plain mean of its eigenvalues
+
+def apply_block_mean(b, f, near, hermitian):
+    if hermitian:
+        vals, vecs = _eigh(b)
+        vals = vals.astype(complex)
+    else:
+        t, vecs = scipy.linalg.schur(b.astype(complex), output="complex")
+        vals = np.diag(t)
+    out_vals = np.empty(len(vals), dtype=complex)
+    for members in _cluster(vals, near):
+        center = np.mean(vals[members])
+        if hermitian:
+            center = complex(center.real)
+        try:
+            fv = complex(f(center))
+        except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+            raise FunctionUndefinedOnSpectrum(f"f undefined at {center}: {exc}") from exc
+        if not np.isfinite(fv):
+            raise FunctionUndefinedOnSpectrum(f"f not finite at {center}")
+        out_vals[members] = fv
+    return vecs @ np.diag(out_vals) @ vecs.conj().T

@@ -83,6 +83,22 @@ def test_an_overflowing_eigenvalue_is_not_finite_and_warns_nothing(command):
     assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (2, "NotFinite", "")
 
 
+@pytest.mark.parametrize("command,root", [("sqrt", 1e154), ("abs", 1e308)])
+def test_a_cluster_of_eigenvalues_near_the_float_limit_is_averaged_finitely(command, root):
+    # diag(1e308, 1e308): the two eigenvalues form one cluster, whose plain
+    # mean would overflow in their sum.  Any numpy warning is an error here.
+    data = {"algebra": {"dims": [2]}, "blocks": [[[[1e308, 0.0], [0.0, 0.0]],
+                                                  [[0.0, 0.0], [1e308, 0.0]]]]}
+    src = str(Path(vnalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "vnalg.cli", command],
+                          input=dumps(data), capture_output=True, text=True, env=env, timeout=120)
+    want = {"algebra": {"dims": [2]}, "blocks": [[[[root, 0.0], [0.0, 0.0]],
+                                                  [[0.0, 0.0], [root, 0.0]]]]}
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (0, want, "")
+
+
 @pytest.mark.parametrize("argv,option", [
     (["check-axioms", "--op", "std", "--algebra", "2", "--trials", "-1"], "--trials"),
     (["gen", "--kind", "effect", "--algebra", "2", "--count", "-1"], "--count"),

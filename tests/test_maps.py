@@ -140,6 +140,11 @@ def test_positivity_verdicts():
     report = is_positive_map(-1.0 * identity_map(M2))
     assert report.verdict is Verdict.NOT_POSITIVE
     assert equal(report.witness, M2.unit())
+    # Not involutive, so decided; the search still returns a witness.
+    f = 1j * identity_map(M2)
+    report = is_positive_map(f)
+    assert report.verdict is Verdict.NOT_POSITIVE
+    assert is_positive(report.witness) and not is_positive(apply(f, report.witness))
 
 
 def test_positivity_exact_on_commutative_domain():

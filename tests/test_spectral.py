@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import vnalg.spectral
-from loop_oracles import eigen_oracle_charpoly, sqrt_iterative
+from loop_oracles import apply_block_mean, eigen_oracle_charpoly, sqrt_iterative
 from vnalg import (absolute, adjoint, add, equal, functional_calculus, leq,
                    make_algebra, mul, neg_part, operator_norm, pos_part, power,
                    scalar_mul, spectral_radius, spectrum, sqrt)
 from vnalg.errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive, NotSelfAdjoint
 from vnalg.sampling import random_positive, random_unitary
-from vnalg.spectral import named_function
+from vnalg.spectral import _apply_block, named_function
 
 M2 = make_algebra([2])
 
@@ -179,6 +179,33 @@ def test_degenerate_eigenvalues_cluster_consistently():
     a = M2.element([np.diag([1.0, 1.0 + eps])])
     out = functional_calculus(a, lambda z: 0.0 if z.real < 1.0 + 1e-9 else 100.0)
     assert operator_norm(out) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_centres_keep_the_bits_of_the_plain_mean(seed):
+    # A cluster's centre is 2 * mean(vals / 2), so that a pair of eigenvalues
+    # near the float limit cannot overflow; above the subnormals the scaling
+    # is exact, so centres and results keep the bits of the plain mean.
+    rng = np.random.default_rng(seed)
+    for hermitian in (True, False):
+        for exponent in rng.uniform(-280, 300, size=4):
+            n = int(rng.integers(3, 7))  # two bases, so some cluster has two members
+            base = rng.uniform(0.1, 1.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+            if not hermitian:
+                base = base * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+            vals = base[rng.integers(0, 2, size=n)] * (1 + 1e-12 * rng.standard_normal(n))
+            u = random_unitary(make_algebra([n]), rng).blocks[0]
+            scale = 10.0 ** exponent
+            b = u @ np.diag(vals * scale) @ u.conj().T
+            if hermitian:
+                b = (b + b.conj().T) / 2
+            near = lambda d: d <= 1e-9 * scale  # noqa: E731
+            got, want = [], []
+            out = _apply_block(b, lambda z: got.append(z) or z, near, hermitian)
+            ref = apply_block_mean(b, lambda z: want.append(z) or z, near, hermitian)
+            assert len(got) < n
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert out.tobytes() == ref.tobytes()
 
 
 def test_function_not_finite_at_eigenvalue():

@@ -11,6 +11,7 @@ from vnalg import (adjoint, apply, carrier, central_carrier, commutant, equal,
 from vnalg.errors import ClosureViolated, NotCommutative, NotPositive
 from vnalg.maps import random_state, scalar_value
 from vnalg.sampling import (random_density, random_element, random_unitary_block)
+from vnalg.suite import check_wedderburn_recovery
 
 M2 = make_algebra([2])
 M3 = make_algebra([3])
@@ -106,6 +107,14 @@ def test_wedderburn_recovers_conjugated_sums(seed, dims):
     x = res.target.basis()[0]
     back = res.to_coordinates(apply(res.embed, x))
     assert equal(back, x)
+
+
+def test_wedderburn_splits_a_centre_no_real_combination_splits():
+    # Round 55 of the battery benchmark at seed 0: in one instance the real
+    # parts of the three centre basis vectors have rank 2, so no symmetrized
+    # real combination of them splits the centre.
+    assert check_wedderburn_recovery("smoke", 661298497) == (
+        True, "6 random conjugated sums recovered exactly")
 
 
 def test_commutant_dimension_of_embedded_sum():
