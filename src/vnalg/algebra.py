@@ -90,9 +90,12 @@ class FdAlgebra:
     def element(self, blocks: Iterable[np.ndarray | Sequence]) -> "Element":
         return Element(self, blocks)
 
+    # Built once per algebra and shared, caches included: an element never changes.
+    @lru_cache(maxsize=None)
     def zero(self) -> "Element":
         return self.element(np.zeros((n, n)) for n in self.dims)
 
+    @lru_cache(maxsize=None)
     def unit(self) -> "Element":
         return self.element(np.eye(n) for n in self.dims)
 
@@ -169,11 +172,11 @@ def _block_diag(*mats) -> np.ndarray:
 class Element:
     """A member of an :class:`FdAlgebra`: one dense complex matrix per block.
 
-    ``_norm`` caches :func:`operator_norm`; an element never changes, so the
-    cache cannot go stale.
+    ``_norm`` caches :func:`operator_norm` and ``_eig`` :func:`_eigpairs`; an
+    element never changes, so neither cache can go stale.
     """
 
-    __slots__ = ("algebra", "blocks", "_norm")
+    __slots__ = ("algebra", "blocks", "_norm", "_eig")
 
     def __init__(self, algebra: FdAlgebra, blocks: Sequence[np.ndarray]):
         blocks = tuple(np.array(b, dtype=complex) for b in blocks)
@@ -187,7 +190,7 @@ class Element:
     def _fill(self, algebra: FdAlgebra, blocks: tuple[np.ndarray, ...]) -> "Element":
         for b in blocks:
             b.setflags(write=False)
-        for slot, value in zip(Element.__slots__, (algebra, blocks, None)):
+        for slot, value in zip(Element.__slots__, (algebra, blocks, None, None)):
             object.__setattr__(self, slot, value)
         return self
 
@@ -304,8 +307,8 @@ def operator_norm(a: Element) -> float:
     return a._norm
 
 
-# A Frobenius norm must clear a threshold by this relative margin to settle a
-# norm test alone; it is far above the rounding of either computed norm.
+# A Frobenius norm or cached eigenvalue must clear a threshold by this relative margin
+# to settle a test alone, far above rounding and the last bits eigh and eigvalsh differ in.
 _FRO_MARGIN = 1e-10
 
 
@@ -382,11 +385,25 @@ def _finite_ends(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _eigpairs(a: Element) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """:func:`_eigh` of each block, kept on the element; a NotFinite is raised on every call."""
+    if a._eig is None:
+        object.__setattr__(a, "_eig", tuple(map(_eigh, a.blocks)))
+    return a._eig
+
+
+def _margin(vals: np.ndarray) -> float:
+    return _FRO_MARGIN * max(1.0, -float(vals[0]), float(vals[-1]))  # vals ascending
+
+
 def is_positive(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Self-adjoint within tolerance with spectrum >= -eps_rel*max(1, ||a||): the
     floor is relative to ||a|| above norm 1 and absolute below it."""
     if not is_self_adjoint(a, tol):
         return False
+    # A cached least eigenvalue decides only by a clear margin; eigvalsh decides otherwise.
+    if all(vals[0] >= tol.positivity_floor() + _margin(vals) for vals, _ in _eigpairs(a)):
+        return True
     mins = [float(_eigvalsh(b)[0]) for b in a.blocks]  # ascending, and no block is empty
     # positivity_floor(s) <= positivity_floor(), so minima above the latter pass without ||a||.
     return all(m >= tol.positivity_floor() for m in mins) or \
@@ -399,8 +416,13 @@ def leq(a: Element, b: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def is_effect(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """0 <= a <= 1."""
-    return is_positive(a, tol) and is_positive(orthosupplement(a), tol)
+    """0 <= a <= 1.  1 - a passes unbuilt when the cached spectrum clears 1 - floor and
+    the skew part of a, that of 1 - a negated, passes the norm gate's Frobenius test."""
+    return is_positive(a, tol) and (
+        all(vals[-1] <= 1.0 - tol.positivity_floor() - _margin(vals) for vals, _ in _eigpairs(a))
+        and all(_fro_within(d, tol.threshold())
+                for d in _diff_blocks(a.blocks, (x.conj().T for x in a.blocks)))
+        or is_positive(orthosupplement(a), tol))
 
 
 def make_algebra(dims: Sequence[int]) -> FdAlgebra:

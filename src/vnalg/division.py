@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, _diff_blocks, _eigh,
+from .algebra import (DEFAULT_TOL, Element, ToleranceConfig, _diff_blocks, _eigpairs,
                       _norm_gate, add, adjoint, is_positive, mul, operator_norm)
 from .errors import DivisionUndefined, NotPositive, QuotientUndefined
 from .projections import _ranked_svd
@@ -77,7 +77,7 @@ def _positive_bands(a: Element, tol: ToleranceConfig) -> ApproxPseudoinverse:
     in increasing n.
     """
     alg = a.algebra
-    eigpairs = [_eigh(b) for b in a.blocks]
+    eigpairs = _eigpairs(a)
     cut = tol.snap_radius(operator_norm(a))
     terms, bands = [], []
     for n in sorted({_band(float(v)) for vals, _ in eigpairs for v in vals if v > cut}):

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
-                      _diff_blocks, _eigh, _eigvalsh, _fro_within, _max_norm, _norm_gate,
+                      _diff_blocks, _eigpairs, _eigvalsh, _fro_within, _max_norm, _norm_gate,
                       _require_finite, _unit_index, adjoint, equal, is_positive, mul,
                       operator_norm, orthosupplement, symmetrize)
 from .errors import NotPositive, ShapeMismatch
@@ -366,9 +366,10 @@ def is_positive_map(f: LinMap, samples: int = 200, seed: int = 0,
     if involutive and not f.dom.is_commutative() and f.cod.is_commutative():
         for y in range(f.cod.num_blocks):
             rho = density(compose(block_projection(f.cod, y), f))
-            if not is_positive(rho, tol):
-                return PositivityReport(Verdict.NOT_POSITIVE,
-                                        _negative_direction_witness(rho, tol))
+            # A density that fails only self-adjointness has no negative direction.
+            witness = None if is_positive(rho, tol) else _negative_direction_witness(rho, tol)
+            if witness is not None:
+                return PositivityReport(Verdict.NOT_POSITIVE, witness)
     if not involutive:
         more = (mul(h, h) for h in map(symmetrize, f.dom.basis()))
     elif decided:
@@ -384,8 +385,7 @@ def is_positive_map(f: LinMap, samples: int = 200, seed: int = 0,
 
 def _negative_direction_witness(rho: Element,
                                 tol: ToleranceConfig) -> Optional[Element]:
-    for i, b in enumerate(rho.blocks):
-        vals, vecs = _eigh(b)
+    for i, (vals, vecs) in enumerate(_eigpairs(rho)):
         if vals.size and vals[0] < tol.positivity_floor(operator_norm(rho)):
             v = vecs[:, 0]
             return rho.algebra._block_element(i, np.outer(v, v.conj()))

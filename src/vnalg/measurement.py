@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigh, _eigvalsh,
+from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _eigpairs, _eigvalsh,
                       _max_norm, _norm_gate, _require_finite, adjoint, equal, imag_part,
                       is_effect, is_positive, mul, operator_norm, orthosupplement, symmetrize)
 from .errors import (CarrierViolated, FilterBoundViolated, NotEffect,
@@ -345,10 +345,10 @@ def _structured_effects(algebra: FdAlgebra) -> list[Element]:
 @functools.lru_cache(maxsize=None)
 def _probes(alg: FdAlgebra) -> tuple[tuple[Element, ...], tuple, tuple[Element, ...]]:
     """What :func:`_linearize_in_q` evaluates on ``alg``: the distinct
-    arguments (one per byte pattern), 1/2 first; the (argument index, scale)
-    of each basis element's self-adjoint parts h and s; four random effects.
-    The symmetric parts of E_ij and E_ji agree, and the zero imaginary part
-    of a diagonal unit gives 1/2, so M_n has 2*dim + 1 - n(n+1)/2 arguments."""
+    arguments (one per byte pattern), 1/2 first; per basis element, the argument
+    index (dim, 2) and reciprocal scale (dim, 2, 1) of its self-adjoint parts h
+    and s; four random effects.  The symmetric parts of E_ij and E_ji agree, and
+    the zero imaginary part of a diagonal unit gives 1/2: M_n has 2*dim + 1 - n(n+1)/2."""
     seen: dict[tuple[bytes, ...], tuple[int, Element]] = {}
     half = 0.5 * alg.unit()
 
@@ -361,9 +361,10 @@ def _probes(alg: FdAlgebra) -> tuple[tuple[Element, ...], tuple, tuple[Element, 
         return seen.setdefault(tuple(b.tobytes() for b in q.blocks), (len(seen), q))[0], scale
 
     part(alg.zero())  # 1/2 itself
-    parts = tuple((part(symmetrize(e)), part(imag_part(e))) for e in alg.basis())
+    table = np.array([part(x) for e in alg.basis()
+                      for x in (symmetrize(e), imag_part(e))]).reshape(-1, 2, 2)
     rng = np.random.default_rng(7)
-    return (tuple(q for _, q in seen.values()), parts,
+    return (tuple(q for _, q in seen.values()), (table[..., 0].astype(int), 1.0 / table[..., 1:]),
             tuple(random_effect(alg, rng) for _ in range(4)))
 
 
@@ -373,11 +374,10 @@ def _linearize_in_q(op_p: Callable[[Element], Element], alg: FdAlgebra,
     quotients (op(p, 1/2 + scale*h) - op(p, 1/2)) / scale over the arguments
     of :func:`_probes`; None if one of its four random effects refutes it.
     M_n takes 2*dim + 5 - n(n+1)/2 calls of ``op_p`` (17 on M3)."""
-    args, parts, sanity = _probes(alg)
-    images = [op_p(q) for q in args]
-    lo = images[0]
-    f = make_map(alg, alg, [(1.0 / hs) * (images[h] - lo) + 1j * ((1.0 / ss) * (images[s] - lo))
-                            for (h, hs), (s, ss) in parts])
+    args, (index, inverse), sanity = _probes(alg)
+    rows = np.stack([op_p(q).coords() for q in args])
+    quot = inverse * (rows[index] + -1.0 * rows[0])  # Element arithmetic's operations and bits
+    f = LinMap(alg, alg, np.ascontiguousarray((quot[:, 0] + 1j * quot[:, 1]).T))
     return f if all(equal(apply(f, q), op_p(q), tol) for q in sanity) else None
 
 
@@ -485,8 +485,7 @@ def _directed_e_pairs(f: LinMap, e2: Element,
     if not is_positive(rho, tol):
         return []
     out = []
-    for i, b in enumerate(rho.blocks):
-        vals, vecs = _eigh(b)
+    for i, (vals, vecs) in enumerate(_eigpairs(rho)):
         cut = tol.snap_radius(operator_norm(rho))
         for col in range(vals.size):
             if vals[col] > cut:

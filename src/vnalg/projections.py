@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, Element, FdAlgebra, ToleranceConfig, _block_diag,
-                      _diff_blocks, _eigh, _norm_gate, _require_finite, adjoint, is_effect,
-                      is_positive, is_self_adjoint, operator_norm, orthosupplement)
+                      _diff_blocks, _eigh, _eigpairs, _norm_gate, _require_finite, adjoint,
+                      is_effect, is_positive, is_self_adjoint, operator_norm, orthosupplement)
 from .errors import NotEffect, NotFinite, NotPositive, NotProjection
 from .sampling import random_projection
 
@@ -56,8 +56,7 @@ def is_projection(p: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def _snap(p: Element, snap: float) -> ProjectionCertificate:
     """p with each block's eigenvalues rounded to {0,1}, and whether any moved."""
     blocks, snapped = [], False
-    for b in p.blocks:
-        vals, vecs = _eigh(b)
+    for vals, vecs in _eigpairs(p):
         keep = vals >= 0.5
         if np.any((vals > snap) & (vals < 1.0 - snap)):
             raise NotProjection("eigenvalues too far from {0,1} to snap")
@@ -82,8 +81,7 @@ def _spectral_projection(a: Element, predicate) -> Element:
     """Per block, the projection onto the eigenvectors of the Hermitian part
     whose eigenvalues satisfy ``predicate``."""
     blocks = []
-    for b in a.blocks:
-        vals, vecs = _eigh(b)
+    for vals, vecs in _eigpairs(a):
         keep = np.array([bool(predicate(float(v))) for v in vals])
         v1 = vecs[:, keep]
         blocks.append(v1 @ v1.conj().T)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (DEFAULT_TOL, _FRO_MARGIN, Element, ToleranceConfig, _diff_blocks,
-                      _eigh, _eigvalsh, _norm_gate, is_positive, is_self_adjoint,
+                      _eigpairs, _eigvalsh, _norm_gate, is_positive, is_self_adjoint,
                       operator_norm, symmetrize)
 from .errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive, NotSelfAdjoint
 
@@ -83,19 +83,23 @@ def _cluster(vals: np.ndarray, near: Callable[[float], bool]) -> list[list[int]]
     return clusters
 
 
-def _apply_block(b: np.ndarray, f: Callable[[complex], complex],
+def _schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import scipy.linalg  # here, so that importing vnalg does not load scipy
+    t, vecs = scipy.linalg.schur(b.astype(complex), output="complex")
+    return np.diag(t), vecs
+
+
+def _apply_block(vals: np.ndarray, vecs: np.ndarray, f: Callable[[complex], complex],
                  near: Callable[[float], bool], hermitian: bool) -> np.ndarray:
-    if hermitian:
-        vals, vecs = _eigh(b)
-        vals = vals.astype(complex)
-    else:
-        import scipy.linalg  # here, so that importing vnalg does not load scipy
-        t, vecs = scipy.linalg.schur(b.astype(complex), output="complex")
-        vals = np.diag(t)
+    """vecs diag(f(vals)) vecs*, f taken at the centre of each cluster."""
+    vals = vals.astype(complex)
     out_vals = np.empty(len(vals), dtype=complex)
     for members in _cluster(vals, near):
-        # Halved first (exactly, above the subnormals): a finite pair sums finitely.
-        center = 2 * np.mean(0.5 * vals[members])
+        # Halved first (exactly, above the subnormals): a finite pair sums
+        # finitely; a larger cluster near the float limit is divided through.
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = 2 * np.mean(0.5 * vals[members])
+        center = center if np.isfinite(center) else np.sum(vals[members] / len(members))
         if hermitian:
             center = complex(center.real)
         try:
@@ -118,9 +122,10 @@ def _calculus(a: Element, f: Callable[[complex], complex], hermitian: bool,
     low = tol.snap_radius()
     with np.errstate(over="ignore"):
         high = tol.snap_radius(float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
-    return Element._wrap(a.algebra, (_apply_block(b, f, lambda d: d <= low or (
+    pairs = _eigpairs(a) if hermitian else map(_schur, a.blocks)
+    return Element._wrap(a.algebra, (_apply_block(vals, vecs, f, lambda d: d <= low or (
         d <= high and d <= tol.snap_radius(operator_norm(a))), hermitian)
-        for b in a.blocks))
+        for vals, vecs in pairs))
 
 
 def functional_calculus(a: Element, f: Callable[[complex], complex],

@@ -46,6 +46,17 @@ The ``*_symmetrized`` functions feed the Hermitian eigensolvers
 the library halved each entry first, so that no finite entry overflows;
 ``test_hermitian_path.py`` holds the library to their bits.
 
+``is_positive_uncached`` and ``is_effect_uncached`` are the positivity and
+effect tests as they read before each element kept its Hermitian
+decomposition: eigvalsh decides every positivity test, and 1 - a is built
+and tested for the upper bound of an effect.  ``ceiling_uncached``,
+``floor_uncached``, ``snap_uncached`` and ``calculus_uncached`` run
+``algebra._eigh`` on each block themselves; ``test_eig_cache.py`` holds the
+library, with its decomposition cached or not, to their verdicts and bytes.
+``linearize_in_q_elements`` is ``measurement._linearize_in_q`` as it read
+before it formed its difference quotients on one coordinate matrix: eight
+``Element`` operations per basis element, on the same probe table.
+
 ``apply_block_mean`` is ``spectral._apply_block`` as it read before it halved
 a cluster's eigenvalues before averaging them: the plain mean, whose sum
 overflows on a pair of eigenvalues near the float limit; ``test_spectral.py``
@@ -57,7 +68,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _norm_gate,
+from vnalg.algebra import (_FRO_MARGIN, DEFAULT_TOL, FdAlgebra, _eigh, _eigvalsh, _norm_gate,
                           _require_finite, _unit_index, add, adjoint, direct_sum, hs_inner,
                           is_effect, mul, operator_norm, orthosupplement, symmetrize)
 from vnalg.algebra import equal as lib_equal
@@ -70,10 +81,10 @@ from vnalg.errors import (CarrierViolated, FilterBoundViolated, FunctionUndefine
                           NotEffect, NotFinite, NotNormal, NotPositive, NotProjection)
 from vnalg.maps import LinMap, _unit_image, apply, carrier, compose, is_unital, make_map
 from vnalg.maps import choi_blocks as lib_choi_blocks
-from vnalg.measurement import BinOpSpec, _sign_above_half, bracket, corner_algebra
+from vnalg.measurement import BinOpSpec, _probes, _sign_above_half, bracket, corner_algebra
 from vnalg.projections import _require_projections, _span, ceiling, floor, left_mult_matrix
 from vnalg.sampling import random_effect, random_element
-from vnalg.spectral import _apply_block, _cluster, _exp_phase
+from vnalg.spectral import _NAMED, _apply_block, _cluster, _exp_phase, _pow, _schur
 from vnalg.spectral import functional_calculus as lib_functional_calculus
 from vnalg.spectral import is_normal as lib_is_normal
 from vnalg.spectral import sqrt as lib_sqrt
@@ -329,13 +340,19 @@ def is_multiplicative_svd(f, tol=DEFAULT_TOL):
     return True
 
 
+def eigenpairs(b, hermitian):
+    """One block's eigenvalues and eigenvectors, as ``spectral._calculus``
+    takes them: ``algebra._eigh`` when Hermitian, else ``spectral._schur``."""
+    return _eigh(b) if hermitian else _schur(b)
+
+
 def functional_calculus(a, f, tol=DEFAULT_TOL):
     """functional_calculus with its snap radius computed up front."""
     hermitian = is_self_adjoint(a, tol)
     snap = tol.snap_eps * max(1.0, svd_norm(a))
     src = 0.5 * (a + adjoint(a)) if hermitian else a
-    return a.algebra.element(_apply_block(b, f, lambda d: d <= snap, hermitian)
-                             for b in src.blocks)
+    return a.algebra.element(_apply_block(*eigenpairs(b, hermitian), f, lambda d: d <= snap,
+                                          hermitian) for b in src.blocks)
 
 
 def sqrt(a, tol=DEFAULT_TOL):
@@ -393,9 +410,9 @@ def functional_calculus_symmetrized(a, f, tol=DEFAULT_TOL):
     hermitian = lib_is_self_adjoint(a, tol)
     high = tol.snap_eps * max(1.0, float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
     src = symmetrize(a) if hermitian else a
-    return a.algebra.element(_apply_block(b, f, lambda d: d <= tol.snap_eps or (
-        d <= high and d <= tol.snap_eps * max(1.0, operator_norm(a))), hermitian)
-        for b in src.blocks)
+    return a.algebra.element(_apply_block(*eigenpairs(b, hermitian), f, lambda d: (
+        d <= tol.snap_eps or d <= high and d <= tol.snap_eps * max(1.0, operator_norm(a))),
+        hermitian) for b in src.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +777,89 @@ def linearize_in_q(op_p, alg, tol=DEFAULT_TOL):
         if not lib_equal(apply(f, q), op_p(q), tol):
             return None
     return f
+
+
+def linearize_in_q_elements(op_p, alg, tol=DEFAULT_TOL):
+    """``measurement._linearize_in_q`` on its probe table, one basis element
+    at a time in ``Element`` arithmetic."""
+    args, (index, inverse), sanity = _probes(alg)
+    images = [op_p(q) for q in args]
+    lo = images[0]
+    f = make_map(alg, alg, [float(hi) * (images[h] - lo) + 1j * (float(si) * (images[s] - lo))
+                            for (h, s), (hi, si) in zip(index, inverse[..., 0])])
+    return f if all(lib_equal(apply(f, q), op_p(q), tol) for q in sanity) else None
+
+
+# ---------------------------------------------------------------------------
+# the spectral sites, each running its own eigensolver
+
+def is_positive_uncached(a, tol=DEFAULT_TOL):
+    if not lib_is_self_adjoint(a, tol):
+        return False
+    mins = [float(_eigvalsh(b)[0]) for b in a.blocks]
+    return all(m >= tol.positivity_floor() for m in mins) or \
+        all(m >= tol.positivity_floor(operator_norm(a)) for m in mins)
+
+
+def is_effect_uncached(a, tol=DEFAULT_TOL):
+    return is_positive_uncached(a, tol) and is_positive_uncached(orthosupplement(a), tol)
+
+
+def _projection_onto(a, predicate):
+    blocks = []
+    for b in a.blocks:
+        vals, vecs = _eigh(b)
+        keep = np.array([bool(predicate(float(v))) for v in vals])
+        v1 = vecs[:, keep]
+        blocks.append(v1 @ v1.conj().T)
+    return a.algebra.element(blocks)
+
+
+def ceiling_uncached(a, tol=DEFAULT_TOL):
+    if not is_positive_uncached(a, tol):
+        raise NotPositive("ceiling needs a positive element")
+    norm = operator_norm(a)
+    if norm <= tol.eps_abs:
+        return a.algebra.zero()
+    return _projection_onto(a, lambda v: v > tol.snap_eps * norm)
+
+
+def floor_uncached(a, tol=DEFAULT_TOL):
+    if not is_effect_uncached(a, tol):
+        raise NotEffect("floor needs an effect")
+    return _projection_onto(a, lambda v: v >= 1.0 - tol.snap_eps)
+
+
+def snap_uncached(p, tol=DEFAULT_TOL):
+    blocks = []
+    for b in p.blocks:
+        vals, vecs = _eigh(b)
+        if np.any((vals > tol.snap_eps) & (vals < 1.0 - tol.snap_eps)):
+            raise NotProjection("eigenvalues too far from {0,1} to snap")
+        v1 = vecs[:, vals >= 0.5]
+        blocks.append(v1 @ v1.conj().T)
+    return p.algebra.element(blocks)
+
+
+def calculus_uncached(a, f, tol=DEFAULT_TOL):
+    """``spectral._calculus`` on a self-adjoint element, one eigh per block."""
+    low = tol.snap_radius()
+    with np.errstate(over="ignore"):
+        high = tol.snap_radius(float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
+    return a.algebra.element(_apply_block(*_eigh(b), f, lambda d: d <= low or (
+        d <= high and d <= tol.snap_radius(operator_norm(a))), True) for b in a.blocks)
+
+
+def sqrt_uncached(a, tol=DEFAULT_TOL):
+    if not is_positive_uncached(a, tol):
+        raise NotPositive("sqrt needs a positive element")
+    return calculus_uncached(a, _NAMED["sqrt"], tol)
+
+
+def power_uncached(a, alpha, tol=DEFAULT_TOL):
+    if not is_positive_uncached(a, tol):
+        raise NotPositive("power needs a positive element")
+    return calculus_uncached(a, _pow(alpha), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_operator_norm_cache_is_exact_and_not_inherited():
     assert operator_norm(make_algebra([]).zero()) == 0.0
 
 
-@pytest.mark.parametrize("attr", ["algebra", "blocks", "_norm", "other"])
+@pytest.mark.parametrize("attr", ["algebra", "blocks", "_norm", "_eig", "other"])
 def test_element_rejects_outside_assignment(attr):
     x = make_algebra([2]).unit()
     operator_norm(x)

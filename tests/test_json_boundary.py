@@ -99,6 +99,22 @@ def test_a_cluster_of_eigenvalues_near_the_float_limit_is_averaged_finitely(comm
     assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (0, want, "")
 
 
+def test_three_eigenvalues_near_the_float_limit_are_averaged_finitely():
+    # 1.7e308 times the unit of M3: the halves of the three eigenvalues also
+    # sum past the float limit, so the centre is the sum of their thirds.
+    def scaled_unit(scale):
+        return {"algebra": {"dims": [3]}, "blocks": [
+            [[[scale if r == c else 0.0, 0.0] for c in range(3)] for r in range(3)]]}
+    src = str(Path(vnalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "vnalg.cli", "sqrt"],
+                          input=dumps(scaled_unit(1.7e308)), capture_output=True, text=True,
+                          env=env, timeout=120)
+    root = 1.3038404810405297e154  # the correctly rounded square root of 1.7e308
+    assert (proc.returncode, json.loads(proc.stdout), proc.stderr) == (0, scaled_unit(root), "")
+
+
 @pytest.mark.parametrize("argv,option", [
     (["check-axioms", "--op", "std", "--algebra", "2", "--trials", "-1"], "--trials"),
     (["gen", "--kind", "effect", "--algebra", "2", "--count", "-1"], "--count"),

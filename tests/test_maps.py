@@ -173,6 +173,19 @@ def test_positivity_exact_on_commutative_codomain():
     assert not is_positive(apply(f, report.witness))
 
 
+def test_commutative_codomain_witness_past_a_density_that_is_only_skew():
+    # The first coordinate density is not self-adjoint at its own scale, yet
+    # the map is involutive at its scale 1e6; it has no negative direction, and
+    # the second density's negative direction e_2 is the witness.
+    c2 = make_algebra([1, 1])
+    rhos = [M2.element([[[1.0, 1e-5], [0.0, 1.0]]]), M2.element([1e6 * np.diag([1.0, -1.0])])]
+    f = LinMap(M2, c2, np.vstack([functional_from_density(rho).matrix for rho in rhos]))
+    report = is_positive_map(f)
+    assert report.verdict is Verdict.NOT_POSITIVE
+    assert report.witness is not None and equal(report.witness, M2.element([np.diag([0.0, 1.0])]))
+    assert is_positive(report.witness) and not is_positive(apply(f, report.witness))
+
+
 def test_functional_with_indefinite_density_has_a_verified_witness():
     # Hermitian with determinant 0.06 - 0.36 < 0, so one eigenvalue is negative.
     rho = M2.element([np.array([[0.2, 0.6j], [-0.6j, 0.3]])])
