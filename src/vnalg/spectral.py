@@ -2,12 +2,12 @@
 
 Invertibility in a direct sum of matrix algebras is blockwise, so the
 spectrum is the union of the block eigenvalue multisets.  Functional
-calculus is only offered for normal elements: per block we unitarily
-diagonalize (``eigh`` for Hermitian blocks; otherwise the complex Schur form,
-diagonal for normal matrices, from scipy, which is imported on first use) and
-apply the scalar function to the eigenvalues.  Eigenvalues closer together
-than ``snap_eps * max(1, ||a||)`` are merged before applying the function, so
-that a function cannot separate numerically split degenerate eigenvalues.
+calculus is only offered for normal elements: per block we diagonalize
+(``eigh`` for Hermitian blocks, ``eig`` otherwise), merge eigenvalues closer
+together than ``snap_eps * max(1, ||a||)``, so that a function cannot separate
+numerically split degenerate eigenvalues, and sum f(centre) times the
+spectral projection of each merged cluster; one QR of the ``eig`` vectors,
+ordered cluster by cluster, makes those projections orthogonal.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import (DEFAULT_TOL, _FRO_MARGIN, Element, ToleranceConfig, _diff_blocks,
                       _eigpairs, _eigvalsh, _norm_gate, is_positive, is_self_adjoint,
                       operator_norm, symmetrize)
-from .errors import FunctionUndefinedOnSpectrum, NotNormal, NotPositive, NotSelfAdjoint
+from .errors import FunctionUndefinedOnSpectrum, NotFinite, NotNormal, NotPositive, NotSelfAdjoint
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,8 @@ def _sorted(vals: np.ndarray) -> tuple[complex, ...]:
 def spectrum(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     """Blockwise eigenvalues with multiplicity."""
     hermitian = is_self_adjoint(a, tol)
-    per_block = []
-    for b in a.blocks:
-        if hermitian:
-            vals = _eigvalsh(b).astype(complex)
-        else:
-            vals = np.linalg.eigvals(b)
-        per_block.append(_sorted(vals))
+    per_block = [_sorted(_eigvalsh(b).astype(complex) if hermitian else np.linalg.eigvals(b))
+                 for b in a.blocks]
     values = _sorted(np.array([v for blk in per_block for v in blk], dtype=complex))
     return Spectrum(values, tuple(per_block))
 
@@ -61,10 +56,13 @@ def spectral_radius(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 
 
 def is_normal(a: Element, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """||a*a - aa*|| <= eps_abs + eps_rel * max(1, ||a||^2)."""
-    return _norm_gate(_diff_blocks((x.conj().T @ x for x in a.blocks),
-                                   (x @ x.conj().T for x in a.blocks)),
-                      tol.threshold(), lambda: tol.threshold(operator_norm(a) ** 2))
+    """||a*a - aa*|| <= eps_abs + eps_rel * max(1, ||a||^2); NotFinite on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = [x.conj().T @ x for x in a.blocks], [x @ x.conj().T for x in a.blocks]
+    if not all(np.isfinite(m).all() for m in left + right) and np.isfinite(a.coords()).all():
+        raise NotFinite("a product a*a or aa* of a finite element overflows")
+    return _norm_gate(_diff_blocks(left, right), tol.threshold(),
+                      lambda: tol.threshold(operator_norm(a) ** 2))
 
 
 def _cluster(vals: np.ndarray, near: Callable[[float], bool]) -> list[list[int]]:
@@ -83,18 +81,14 @@ def _cluster(vals: np.ndarray, near: Callable[[float], bool]) -> list[list[int]]
     return clusters
 
 
-def _schur(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    import scipy.linalg  # here, so that importing vnalg does not load scipy
-    t, vecs = scipy.linalg.schur(b.astype(complex), output="complex")
-    return np.diag(t), vecs
-
-
 def _apply_block(vals: np.ndarray, vecs: np.ndarray, f: Callable[[complex], complex],
                  near: Callable[[float], bool], hermitian: bool) -> np.ndarray:
-    """vecs diag(f(vals)) vecs*, f taken at the centre of each cluster."""
+    """vecs diag(f(vals)) vecs*, f taken at the centre of each cluster; the
+    columns of non-Hermitian ``vecs`` are first orthonormalized cluster by cluster."""
     vals = vals.astype(complex)
     out_vals = np.empty(len(vals), dtype=complex)
-    for members in _cluster(vals, near):
+    clusters = _cluster(vals, near)
+    for members in clusters:
         # Halved first (exactly, above the subnormals): a finite pair sums
         # finitely; a larger cluster near the float limit is divided through.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -109,6 +103,9 @@ def _apply_block(vals: np.ndarray, vecs: np.ndarray, f: Callable[[complex], comp
         if not np.isfinite(fv):
             raise FunctionUndefinedOnSpectrum(f"f not finite at {center}")
         out_vals[members] = fv
+    if not hermitian:
+        order = np.concatenate(clusters)
+        vecs, out_vals = np.linalg.qr(vecs[:, order])[0], out_vals[order]
     return vecs @ np.diag(out_vals) @ vecs.conj().T
 
 
@@ -122,7 +119,7 @@ def _calculus(a: Element, f: Callable[[complex], complex], hermitian: bool,
     low = tol.snap_radius()
     with np.errstate(over="ignore"):
         high = tol.snap_radius(float(np.linalg.norm(a.coords()))) * (1.0 + _FRO_MARGIN)
-    pairs = _eigpairs(a) if hermitian else map(_schur, a.blocks)
+    pairs = _eigpairs(a) if hermitian else map(np.linalg.eig, a.blocks)
     return Element._wrap(a.algebra, (_apply_block(vals, vecs, f, lambda d: d <= low or (
         d <= high and d <= tol.snap_radius(operator_norm(a))), hermitian)
         for vals, vecs in pairs))
@@ -149,23 +146,26 @@ def _root(a: Element, tol: ToleranceConfig) -> Element:
     return _calculus(a, _NAMED["sqrt"], True, tol)
 
 
+def _real(lam: complex) -> float:
+    if lam.imag:
+        raise ValueError("the function is defined on the real line only")
+    return lam.real
+
+
 def _pow(alpha: float) -> Callable[[complex], complex]:
-    return lambda lam: max(lam.real, 0.0) ** alpha
+    return lambda lam: max(_real(lam), 0.0) ** alpha
 
 
 def _exp_phase(lam: complex) -> complex:
     """lam**i on the positive reals, 1 at 0; satisfies g(x^2) = g(x)^2."""
-    x = lam.real
-    if x <= 0.0:
-        return 1.0
-    return np.exp(1j * np.log(x))
+    return 1.0 if _real(lam) <= 0.0 else np.exp(1j * np.log(lam.real))
 
 
 _NAMED: dict[str, Callable[[complex], complex]] = {
-    "sqrt": lambda lam: np.sqrt(max(lam.real, 0.0)),
-    "abs": lambda lam: abs(lam.real),
-    "pospart": lambda lam: max(lam.real, 0.0),
-    "negpart": lambda lam: max(-lam.real, 0.0),
+    "sqrt": lambda lam: np.sqrt(max(_real(lam), 0.0)),
+    "abs": lambda lam: abs(_real(lam)),
+    "pospart": lambda lam: max(_real(lam), 0.0),
+    "negpart": lambda lam: max(-_real(lam), 0.0),
     "exp-phase": _exp_phase,
 }
 
@@ -201,7 +201,7 @@ def named_function(name: str) -> Callable[[complex], complex]:
     """Resolve a scalar function by CLI name.
 
     Supported: ``sqrt``, ``abs``, ``pospart``, ``negpart``, ``pow:ALPHA``,
-    ``exp-phase``.
+    ``exp-phase``; each is defined on the real line only.
     """
     if name.startswith("pow:"):
         return _pow(float(name.split(":", 1)[1]))

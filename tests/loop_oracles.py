@@ -61,6 +61,11 @@ before it formed its difference quotients on one coordinate matrix: eight
 a cluster's eigenvalues before averaging them: the plain mean, whose sum
 overflows on a pair of eigenvalues near the float limit; ``test_spectral.py``
 holds the library to its centres and bits wherever that mean is finite.
+``functional_calculus_schur`` is functional calculus on a non-Hermitian
+normal element as it read before the library diagonalized such blocks with
+``numpy.linalg.eig`` and one QR: the complex Schur form from scipy, whose
+unitary Schur vectors need no QR; ``test_eig_route.py`` holds the library
+to it within stated bounds on a seeded sweep.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from vnalg.maps import choi_blocks as lib_choi_blocks
 from vnalg.measurement import BinOpSpec, _probes, _sign_above_half, bracket, corner_algebra
 from vnalg.projections import _require_projections, _span, ceiling, floor, left_mult_matrix
 from vnalg.sampling import random_effect, random_element
-from vnalg.spectral import _NAMED, _apply_block, _cluster, _exp_phase, _pow, _schur
+from vnalg.spectral import _NAMED, _apply_block, _cluster, _exp_phase, _pow
 from vnalg.spectral import functional_calculus as lib_functional_calculus
 from vnalg.spectral import is_normal as lib_is_normal
 from vnalg.spectral import sqrt as lib_sqrt
@@ -342,8 +347,8 @@ def is_multiplicative_svd(f, tol=DEFAULT_TOL):
 
 def eigenpairs(b, hermitian):
     """One block's eigenvalues and eigenvectors, as ``spectral._calculus``
-    takes them: ``algebra._eigh`` when Hermitian, else ``spectral._schur``."""
-    return _eigh(b) if hermitian else _schur(b)
+    takes them: ``algebra._eigh`` when Hermitian, else ``numpy.linalg.eig``."""
+    return _eigh(b) if hermitian else np.linalg.eig(b)
 
 
 def functional_calculus(a, f, tol=DEFAULT_TOL):
@@ -958,14 +963,11 @@ def eigen_oracle_charpoly(matrix):
 # a cluster's centre as the plain mean of its eigenvalues
 
 def apply_block_mean(b, f, near, hermitian):
-    if hermitian:
-        vals, vecs = _eigh(b)
-        vals = vals.astype(complex)
-    else:
-        t, vecs = scipy.linalg.schur(b.astype(complex), output="complex")
-        vals = np.diag(t)
+    vals, vecs = eigenpairs(b, hermitian)
+    vals = vals.astype(complex)
     out_vals = np.empty(len(vals), dtype=complex)
-    for members in _cluster(vals, near):
+    clusters = _cluster(vals, near)
+    for members in clusters:
         center = np.mean(vals[members])
         if hermitian:
             center = complex(center.real)
@@ -976,4 +978,28 @@ def apply_block_mean(b, f, near, hermitian):
         if not np.isfinite(fv):
             raise FunctionUndefinedOnSpectrum(f"f not finite at {center}")
         out_vals[members] = fv
+    if not hermitian:
+        order = np.concatenate(clusters)
+        vecs, out_vals = np.linalg.qr(vecs[:, order])[0], out_vals[order]
     return vecs @ np.diag(out_vals) @ vecs.conj().T
+
+
+# ---------------------------------------------------------------------------
+# functional calculus of a normal element through the complex Schur form
+
+def functional_calculus_schur(a, f, tol=DEFAULT_TOL):
+    """``functional_calculus`` of a normal element as it read while
+    ``scipy.linalg.schur`` diagonalized each non-Hermitian block: the unitary
+    Schur vectors take f at each cluster's centre, with no QR."""
+    if not lib_is_normal(a, tol):
+        raise NotNormal("functional calculus needs a normal element")
+    snap = tol.snap_radius(operator_norm(a))
+    blocks = []
+    for b in a.blocks:
+        t, vecs = scipy.linalg.schur(b, output="complex")
+        vals = np.diag(t)
+        out_vals = np.empty(len(vals), dtype=complex)
+        for members in _cluster(vals, lambda d: d <= snap):
+            out_vals[members] = f(2 * np.mean(0.5 * vals[members]))
+        blocks.append(vecs @ np.diag(out_vals) @ vecs.conj().T)
+    return a.algebra.element(blocks)

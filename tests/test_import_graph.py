@@ -1,20 +1,27 @@
-"""Importing vnalg and running the CLI load no scipy module.
+"""vnalg runs on numpy alone: no module of it imports scipy, the runtime
+dependencies name numpy only, and importing vnalg, running the CLI and
+functional calculus on a non-Hermitian normal element load no scipy module.
 
-scipy is needed only for the complex Schur form that functional calculus
-takes of a non-Hermitian normal block.  Each check runs in a fresh
-interpreter, because this test process has loaded scipy already.
+The loading check runs in a fresh interpreter, because this test process
+has loaded scipy already (the tests keep it as a reference).
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import vnalg
 
-SRC = str(Path(vnalg.__file__).resolve().parents[1])
+PACKAGE = Path(vnalg.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 TESTS = str(Path(__file__).resolve().parent)
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 SCRIPT = r"""
 import contextlib, io, json, sys
@@ -59,7 +66,7 @@ v = random_unitary_block(rng, 3)
 u = alg.element([v @ np.diag(np.exp([0.3j, 1.7j, 4.0j])) @ v.conj().T, [[np.exp(0.5j)]]])
 f = lambda z: z.conjugate() ** 2
 got = vnalg.functional_calculus(u, f)
-report["after_schur"] = scipy_modules()
+report["after_normal"] = scipy_modules()
 
 sys.path.insert(0, TESTS)
 import loop_oracles
@@ -79,11 +86,31 @@ def run_fresh():
     return json.loads(proc.stdout)
 
 
-def test_import_and_cli_load_no_scipy_and_schur_loads_it_on_first_use():
+def test_import_cli_and_normal_calculus_load_no_scipy():
     report = run_fresh()
     assert report["after_import"] == []
     assert set(report["exit_codes"].values()) == {0}, report["exit_codes"]
     assert report["after_cli"] == []
-    assert "scipy.linalg" in report["after_schur"]
+    assert report["after_normal"] == []
     assert report["matches_oracle"]
     assert report["is_adjoint_squared"]
+
+
+def imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_imports_scipy_and_numpy_is_the_only_runtime_dependency():
+    modules = {path.name: set(imported_modules(path)) for path in PACKAGE.glob("*.py")}
+    assert "numpy" in modules["spectral.py"]  # the walk sees imports
+    assert {name: sorted(m for m in found if m.split(".")[0] == "scipy")
+            for name, found in modules.items()} == {name: [] for name in modules}
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    name = lambda spec: re.match(r"[A-Za-z0-9_.-]+", spec).group()  # noqa: E731
+    assert [name(d) for d in project["dependencies"]] == ["numpy"]
+    assert "scipy" in [name(d) for d in project["optional-dependencies"]["test"]]

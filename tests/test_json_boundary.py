@@ -83,6 +83,30 @@ def test_an_overflowing_eigenvalue_is_not_finite_and_warns_nothing(command):
     assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (2, "NotFinite", "")
 
 
+@pytest.mark.parametrize("command", ["sqrt", "abs"])
+def test_an_overflowing_normality_product_is_not_finite_and_warns_nothing(command):
+    # 1e300 times a rotation: normal, not self-adjoint, and a*a overflows
+    # before --f reaches functional calculus.  Any numpy warning is an error here.
+    data = {"algebra": {"dims": [2]}, "blocks": [[[[0.0, 0.0], [1e300, 0.0]],
+                                                  [[-1e300, 0.0], [0.0, 0.0]]]]}
+    src = str(Path(vnalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = [sys.executable, "-W", "error", "-m", "vnalg.cli", command, "--f", "abs"]
+    proc = subprocess.run(argv, input=dumps(data), capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, json.loads(proc.stdout)["error"], proc.stderr) == (2, "NotFinite", "")
+
+
+@pytest.mark.parametrize("command", ["sqrt", "abs"])
+def test_a_real_only_function_at_a_unitary_is_undefined_on_its_spectrum(command):
+    # The rotation at norm 1: |Re lam| would answer 0 and exit 0.
+    data = {"algebra": {"dims": [2]}, "blocks": [[[[0.0, 0.0], [1.0, 0.0]],
+                                                  [[-1.0, 0.0], [0.0, 0.0]]]]}
+    code, out = run_cli([command, "--f", "abs"], dumps(data))
+    assert (code, out["error"]) == (2, "FunctionUndefinedOnSpectrum")
+
+
 @pytest.mark.parametrize("command,root", [("sqrt", 1e154), ("abs", 1e308)])
 def test_a_cluster_of_eigenvalues_near_the_float_limit_is_averaged_finitely(command, root):
     # diag(1e308, 1e308): the two eigenvalues form one cluster, whose plain

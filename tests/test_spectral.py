@@ -173,6 +173,19 @@ def test_named_functions():
         named_function("nope")
 
 
+@pytest.mark.parametrize("name", ["sqrt", "abs", "pospart", "negpart", "pow:0.5", "exp-phase"])
+def test_real_only_named_functions_reject_a_non_real_centre(name):
+    # A rotation of M2 is normal with eigenvalues +-i; reading only the real
+    # part would take f(0) on both and answer with no error.
+    f = named_function(name)
+    with pytest.raises(ValueError):
+        f(0.25 + 1e-300j)
+    assert f(0.25 + 0j) == f(0.25)
+    rotation = M2.element([np.array([[0.0, 1.0], [-1.0, 0.0]])])
+    with pytest.raises(FunctionUndefinedOnSpectrum, match="real line"):
+        functional_calculus(rotation, f)
+
+
 def test_degenerate_eigenvalues_cluster_consistently():
     # Numerically split eigenvalues must not be separated by the function.
     eps = 1e-12
